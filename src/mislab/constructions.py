@@ -263,17 +263,19 @@ class BlowupSpec:
 
 
 def _iroot(x: int, q: int) -> int:
-    """Integer floor of the q-th root of x >= 0."""
+    """Integer floor of the q-th root of x >= 0, in exact integer arithmetic."""
     if x < 0 or q < 1:
         raise ValueError("need x >= 0 and q >= 1")
     if x < 2 or q == 1:
         return x
-    r = int(round(x ** (1.0 / q)))
-    while r**q > x:
-        r -= 1
-    while (r + 1) ** q <= x:
-        r += 1
-    return r
+    # 2^ceil(bits/q) lies above the root; integer Newton steps from above
+    # decrease strictly until they reach the floor.
+    r = 1 << -(-x.bit_length() // q)
+    while True:
+        s = ((q - 1) * r + x // r ** (q - 1)) // q
+        if s >= r:
+            return r
+        r = s
 
 
 def blowup_spec_from_matching(

@@ -311,7 +311,15 @@ class PartitionedGraph:
 
     @classmethod
     def from_parts(cls, graph: Graph, parts: Iterable[Iterable[int]]) -> PartitionedGraph:
-        return cls(graph, tuple(tuple(sorted(p)) for p in parts))
+        """Build from any iterable of vertex iterables, such as parsed JSON.
+
+        Raises ValueError for anything else: a scalar where a list belongs, a
+        vertex that is not an integer, or one out of range.
+        """
+        try:
+            return cls(graph, tuple(tuple(sorted(p)) for p in parts))
+        except TypeError:
+            raise ValueError("parts must be lists of integer vertex ids") from None
 
     def part_masks(self) -> tuple[int, ...]:
         return tuple(vertex_mask(p) for p in self.parts)

@@ -1,30 +1,39 @@
 """Exhaustive small-n search for extremal MIS counts, with witnesses.
 
-The graph scan walks every edge bitmask on n labeled vertices as a numpy
-int64 array, in chunks.  Since ``itertools.combinations`` emits the pairs
-inside the last few vertices at the end of the pair order, fixing the high
-bits of a chunk fixes the induced subgraph there; chunks whose fixed part
-already contains a forbidden clique are skipped wholesale.  Per-subset
-independence and domination tests are single mask compares vectorized over
-the whole chunk.
+The graph scan walks every edge bitmask on n labeled vertices in aligned
+chunks of 2^w masks.  Since ``itertools.combinations`` emits the pairs inside
+the last few vertices at the end of the pair order, a chunk's high bits fix
+the induced subgraph there, and its masks are that fixed prefix plus every
+w-bit low pattern.  The per-(n, t, w) clique filter, cached per process,
+sorts each forbidden clique by where its edges fall: wholly in the high bits
+(a chunk whose prefix holds it is skipped before any other work), wholly in
+the low bits (removed once, from a cached ascending array of low patterns),
+or straddling (a constraint on the low bits only in chunks whose prefix
+holds its high part).  The per-subset independence and domination tests
+(cached per (n, sizes)) are settled on the fixed prefix where they can be;
+the rest are mask compares vectorized over the chunk's surviving low
+patterns.
 
 Witness graphs are deduplicated by a canonical form: the lexicographically
 least graph6 string over all relabelings, found by branch-and-bound on
-adjacency columns.
+adjacency columns, with orbit pruning from the automorphisms that equal
+leaves reveal.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
 
 from .formats import graph6_encode
-from .graphs import Graph, Hypergraph, iter_bits
+from .graphs import Graph, Hypergraph
 
 GRAPH_SCAN_CAP = 8
 HYPER_SCAN_CAP = 6
@@ -83,40 +92,66 @@ def _pair_masks(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def _subset_tables(n: int, sizes: list[int]) -> list[tuple[int, int, list[int]]]:
-    """(subset, inside-pairs mask, per-outside-vertex cross masks) tables."""
-    pairs = _pair_masks(n)
-    bit_of = {p: 1 << b for b, p in enumerate(pairs)}
+def _subset_pair_masks(n: int, size: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each ``size``-subset of the vertices with the edge mask of its pairs."""
+    bit_of = {p: 1 << b for b, p in enumerate(_pair_masks(n))}
+    for sub in combinations(range(n), size):
+        yield sub, sum(bit_of[p] for p in combinations(sub, 2))
+
+
+@lru_cache(maxsize=None)
+def _subset_tables(n: int, sizes: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per candidate MIS: its inside-pairs mask and one cross mask per outside vertex.
+
+    A subset is an MIS of the graph with edge mask m iff m misses the inside
+    mask and hits every cross mask (the pairs joining one outside vertex to
+    the subset).
+    """
+    bit_of = {p: 1 << b for b, p in enumerate(_pair_masks(n))}
     tables = []
-    for mask in range(1 << n):
-        if mask.bit_count() not in sizes:
-            continue
-        members = list(iter_bits(mask))
-        inside = 0
-        for p in combinations(members, 2):
-            inside |= bit_of[p]
-        crosses = []
-        for v in range(n):
-            if mask >> v & 1:
-                continue
-            cm = 0
-            for u in members:
-                cm |= bit_of[(min(u, v), max(u, v))]
-            crosses.append(cm)
-        tables.append((mask, inside, crosses))
-    return tables
+    for size in sizes:
+        for sub, inside in _subset_pair_masks(n, size):
+            crosses = tuple(
+                sum(bit_of[(min(u, v), max(u, v))] for u in sub)
+                for v in range(n)
+                if v not in sub
+            )
+            tables.append((inside, crosses))
+    return tuple(tables)
 
 
-def _forbidden_masks(n: int, t: int) -> list[int]:
-    pairs = _pair_masks(n)
-    bit_of = {p: 1 << b for b, p in enumerate(pairs)}
-    out = []
-    for sub in combinations(range(n), t):
-        m = 0
-        for p in combinations(sub, 2):
-            m |= bit_of[p]
-        out.append(m)
-    return out
+@lru_cache(maxsize=None)
+def _forbidden_masks(n: int, t: int) -> tuple[int, ...]:
+    return tuple(m for _, m in _subset_pair_masks(n, t))
+
+
+@lru_cache(maxsize=1)
+def _clique_filter(
+    n: int, t: int | None, width: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], np.ndarray]:
+    """Split the K_t filter at bit ``width`` for chunks of 2^width masks.
+
+    Returns (killers, straddlers, base).  A killer is a clique lying wholly in
+    the high bits: a chunk whose fixed prefix contains one holds no K_t-free
+    graph.  A straddler is a (high, low) clique split; it constrains the low
+    bits only in chunks whose prefix contains its high part.  ``base`` is
+    every low-bit pattern, ascending, that contains no clique lying wholly in
+    the low bits.  Only the last filter is kept: one scan uses one, and at
+    n=7 the base is a 16 MB array.
+    """
+    low_bits = (1 << width) - 1
+    killers, straddlers = [], []
+    base = np.arange(1 << width, dtype=np.int64)
+    for fm in _forbidden_masks(n, t) if t is not None else ():
+        high, low = fm & ~low_bits, fm & low_bits
+        if not low:
+            killers.append(high)
+        elif not high:
+            base = base[(base & low) != low]
+        else:
+            straddlers.append((high, low))
+    base.flags.writeable = False
+    return tuple(killers), tuple(straddlers), base
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
@@ -124,47 +159,71 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return Graph.from_edges(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
 
 
-def _scan_graph_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
-    """Scan edge masks in [lo, hi); returns (best, witness masks, scanned, truncated)."""
-    n, k, t, lo, hi, collect, raw_cap = args
-    sizes = [k] if k is not None else list(range(n + 1))
-    tables = _subset_tables(n, sizes)
-    forb = _forbidden_masks(n, t) if t is not None else []
+def _chunk_crosses(crosses: tuple[int, ...], fixed: int, low_bits: int) -> tuple[int, list[int]]:
+    """Reduce a subset's cross masks to tests on a chunk's low patterns.
 
-    if forb:
-        # Every mask in the chunk shares the bits above the chunk width, so a
-        # forbidden clique living entirely there kills the chunk outright.
-        width = (hi - lo).bit_length() - 1 if hi - lo > 1 else 0
-        chunk_fixed = lo >> width << width
-        if any(chunk_fixed & fm == fm for fm in forb):
-            return -1, [], hi - lo, False
-    masks = np.arange(lo, hi, dtype=np.int64)
-    if forb:
-        alive = np.ones(len(masks), dtype=bool)
-        for fm in forb:
-            alive &= (masks & np.int64(fm)) != np.int64(fm)
-        masks = masks[alive]
-        del alive
+    A cross mask meeting the fixed prefix holds in the whole chunk.  Of the
+    rest, the single-edge ones merge into ``need`` (every such edge must be
+    present) and the others are returned in ``either``.  ``need`` is -1 when
+    some outside vertex can reach the subset only through absent fixed edges:
+    the subset is then an MIS of no graph in the chunk.
+    """
+    need = 0
+    either = []
+    for cm in crosses:
+        if cm & fixed:
+            continue
+        low = cm & low_bits
+        if not low:
+            return -1, []
+        if low & (low - 1):
+            either.append(low)
+        else:
+            need |= low
+    return need, either
+
+
+def _scan_graph_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
+    """Scan edge masks in [lo, hi); returns (best, witness masks, scanned, truncated).
+
+    [lo, hi) is an aligned block of 2^width masks, so every mask in it is
+    ``lo`` (the chunk's fixed high bits) plus a low pattern below 2^width.
+    The work runs on the low patterns only; each test against a mask is
+    first settled on the fixed part where it can be.
+    """
+    n, k, t, lo, hi, collect, raw_cap = args
+    width = (hi - lo).bit_length() - 1
+    killers, straddlers, base = _clique_filter(n, t, width)
+    if any(lo & km == km for km in killers):
+        return -1, [], hi - lo, False
+    masks = base
+    for high, low in straddlers:
+        if lo & high == high:
+            masks = masks[(masks & low) != low]
     if len(masks) == 0:
         return -1, [], hi - lo, False
 
+    sizes = (k,) if k is not None else tuple(range(n + 1))
     counts = np.zeros(len(masks), dtype=np.int64)
-    for _, inside, crosses in tables:
-        ok = (masks & np.int64(inside)) == 0
-        for cm in crosses:
-            if not ok.any():
-                break
-            ok &= (masks & np.int64(cm)) != 0
+    for inside, crosses in _subset_tables(n, sizes):
+        if inside & lo:
+            continue  # an inside pair is an edge of every graph in the chunk
+        need, either = _chunk_crosses(crosses, lo, (1 << width) - 1)
+        if need < 0:
+            continue
+        ok = (masks & (inside | need)) == need
+        for cm in either:
+            ok &= (masks & cm) != 0
         counts += ok
     best = int(counts.max())
     witnesses: list[int] = []
     truncated = False
     if collect:
-        hits = masks[counts == counts.max()]
+        hits = masks[counts == best]
         if len(hits) > raw_cap:
             truncated = True
             hits = hits[:raw_cap]
-        witnesses = [int(x) for x in hits]
+        witnesses = [lo + int(x) for x in hits]
     return best, witnesses, hi - lo, truncated
 
 
@@ -312,55 +371,80 @@ def canonical_form(g: Graph) -> bytes:
     the minimal column are branched (a non-minimal column loses at this
     position no matter the completion), and prefixes exceeding the best
     known sequence are cut.
+
+    Two leaves with equal columns differ by an automorphism, which fixes
+    their common prefix pointwise.  At a node, a tied candidate in the orbit
+    of an explored sibling under the automorphisms found so far that fix the
+    placed prefix would only replay that sibling's subtree, so it is skipped;
+    and the rest of the branch that holds such a leaf, below the common
+    prefix, is a replay too, so the search unwinds to that prefix.  This
+    keeps symmetric graphs (empty, complete, cycles) from costing n!.
     """
     n = g.n
     if n > CANONICAL_CAP:
         raise ValueError(f"canonical form capped at n <= {CANONICAL_CAP}, got {n}")
-    if n <= 1:
-        return graph6_encode(g)
     adj = g.adj
     best: tuple[int, ...] | None = None
+    best_order: tuple[int, ...] = ()
+    autos: list[list[int]] = []
 
-    def rec(placed: list[int], mask: int, cols: tuple[int, ...]) -> None:
-        nonlocal best
-        pos = len(placed)
+    def rec(order: tuple[int, ...], cols: tuple[int, ...], col_of: dict[int, int]) -> int:
+        # col_of: each unplaced vertex's column against the placed prefix.
+        # Returns the depth the search unwinds to: n unless an automorphism
+        # shows the rest of an ancestor's child subtree is a replay.
+        nonlocal best, best_order
+        pos = len(order)
         if best is not None and cols > best[:pos]:
-            return
+            return n
         if pos == n:
             if best is None or cols < best:
-                best = cols
-            return
-        cmin = None
-        ties = []
-        for v in range(n):
-            if mask >> v & 1:
+                best, best_order = cols, order
+                return n
+            aut = [0] * n
+            for v, w in zip(order, best_order):
+                aut[v] = w
+            autos.append(aut)
+            # The automorphism fixes the common prefix and maps this leaf's
+            # branch below it onto the branch explored for the best leaf.
+            depth = 0
+            while order[depth] == best_order[depth]:
+                depth += 1
+            return depth
+        cmin = min(col_of.values())
+        explored: list[int] = []
+        # orbit[v]: a label shared by v's orbit under the automorphisms in
+        # autos[:seen] that fix the placed prefix pointwise.
+        orbit = list(range(n))
+        seen = 0
+        for v, c in col_of.items():
+            if c != cmin:
                 continue
-            col = 0
-            for u in placed:
-                col = (col << 1) | (adj[u] >> v & 1)
-            if cmin is None or col < cmin:
-                cmin, ties = col, [v]
-            elif col == cmin:
-                ties.append(v)
-        for v in ties:
-            rec(placed + [v], mask | 1 << v, cols + (cmin,))
+            if explored:
+                for aut in autos[seen:]:
+                    if all(aut[p] == p for p in order):
+                        for x in range(n):
+                            a, b = orbit[x], orbit[aut[x]]
+                            if a != b:
+                                orbit = [a if o == b else o for o in orbit]
+                seen = len(autos)
+                if any(orbit[u] == orbit[v] for u in explored):
+                    continue
+            explored.append(v)
+            row = adj[v]
+            rest = {w: cw << 1 | row >> w & 1 for w, cw in col_of.items() if w != v}
+            depth = rec(order + (v,), cols + (cmin,), rest)
+            if depth < pos:
+                return depth
+        return n
 
-    rec([], 0, ())
-    assert best is not None
+    rec((), (), dict.fromkeys(range(n), 0))
     # Column j holds the adjacency bits against positions 0..j-1, most
-    # significant first: exactly the graph6 packing order.
-    out = bytearray([n + 63])
-    acc = nbits = 0
-    for j in range(1, n):
-        for b in range(j - 1, -1, -1):
-            acc = (acc << 1) | (best[j] >> b & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+    # significant first: exactly graph6's packing order, so the least column
+    # sequence relabels to the least graph6 string.
+    position = [0] * n
+    for i, v in enumerate(best_order):
+        position[v] = i
+    return graph6_encode(g.relabel(position))
 
 
 def canonical_hypergraph_json(h: Hypergraph) -> str:

@@ -99,6 +99,20 @@ def test_count_transversal(capsys, tmp_path):
     assert code == 0 and out.strip() == "4"
 
 
+def test_count_transversal_malformed_parts_exits_2(capsys, tmp_path):
+    gpath = tmp_path / "g.g6"
+    run(["construct", "comatching", "--n", "8", "--out", str(gpath)], capsys)
+    ppath = tmp_path / "parts.json"
+    for blob in ("5", '[[0,"a"],[1]]'):
+        ppath.write_text(blob)
+        code, _, err = run(
+            ["count", "--graph", str(gpath), "--transversal", "--parts", str(ppath)],
+            capsys,
+        )
+        assert code == 2, blob
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, blob
+
+
 def test_count_forbid_clique_violation_exits_3(capsys, tmp_path):
     path = tmp_path / "k3.g6"
     path.write_bytes(graph6_encode(Graph.complete(3)) + b"\n")

@@ -233,6 +233,18 @@ def test_blowup_spec_from_matching():
         blowup_spec_from_matching(h, overload, 9)
 
 
+def test_iroot_is_exact_beyond_float_range():
+    from mislab.constructions import _iroot
+
+    rng = random.Random(41)
+    huge = [10**400, 10**400 - 1, 2**4000 + 1, 3**1000]
+    huge += [rng.randrange(10**600) for _ in range(20)]
+    for q in range(1, 6):
+        for x in huge + [(7**200) ** q, (7**200) ** q - 1]:
+            r = _iroot(x, q)
+            assert r**q <= x < (r + 1) ** q, (x, q)
+
+
 def test_alternating_matching_blowup_on_even_cycle():
     # even cycles carry a family of fractional matchings; the alternating
     # 1/2-0 one produces parts of size 2 and 1 and a family of 2^(k/2)

@@ -157,6 +157,10 @@ def test_partitioned_graph_validation():
         PartitionedGraph.from_parts(g, [(0, 1), (1, 2)])  # overlap
     with pytest.raises(ValueError):
         PartitionedGraph.from_parts(g, [(0, 1, 2), ()])  # empty part
+    malformed_parts = (5, [5], [[0, "a"], [1, 2]], [["a"], [0, 1, 2]], [[0, 1.0], [2]], [[-1, 0, 1, 2]])
+    for malformed in malformed_parts:
+        with pytest.raises(ValueError):
+            PartitionedGraph.from_parts(g, malformed)
 
 
 def test_hypergraph_validation():

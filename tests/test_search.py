@@ -65,6 +65,59 @@ def test_canonical_form_is_isomorphism_invariant():
     )
 
 
+def test_canonical_form_matches_brute_force_on_symmetric_graphs():
+    # Large automorphism groups are where orbit pruning and backjumping act.
+    for n in range(2, 9):
+        half = n // 2
+        bipartite = Graph.from_edges(n, [(i, j) for i in range(half) for j in range(half, n)])
+        family = [Graph.empty(n), Graph.complete(n), comatching(n).graph, bipartite]
+        if n >= 3:
+            family.append(Graph.cycle(n))
+        for g in family:
+            assert canonical_form(g) == brute_canonical(g), (n, graph6_encode(g))
+    # Repeated components: an automorphism that moves the placed prefix must
+    # not prune.  Two relabeled copies of P_3 already catch that.
+    rng = random.Random(61)
+    for _ in range(40):
+        m = rng.randint(2, 3)
+        copies = rng.randint(2, 7 // m)
+        n = m * copies + rng.randint(0, 7 - m * copies)
+        part = [(u, v) for u in range(m) for v in range(u + 1, m) if rng.random() < 0.6]
+        g = Graph.from_edges(n, [(u + c * m, v + c * m) for c in range(copies) for u, v in part])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = g.relabel(perm)
+        assert canonical_form(g) == brute_canonical(g), graph6_encode(g)
+
+
+def test_canonical_form_equality_matches_networkx_isomorphism():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    rng = random.Random(57)
+    isomorphic = 0
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        g = random_graph(rng, n, rng.random())
+        h = g
+        if rng.random() < 0.5:
+            u, v = rng.sample(range(n), 2)
+            edges = set(g.edges()) ^ {(min(u, v), max(u, v))}
+            h = Graph.from_edges(n, sorted(edges))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = h.relabel(perm)
+        same = nx.is_isomorphic(to_nx(g), to_nx(h))
+        isomorphic += same
+        assert (canonical_form(g) == canonical_form(h)) == same
+    assert 50 < isomorphic < 200
+
+
 def test_canonical_form_separates_the_two_six_vertex_extremes():
     assert canonical_form(comatching(6).graph) != canonical_form(c4_leaves_graph())
 
@@ -166,16 +219,20 @@ def test_uniqueness_census_small():
     assert rep7.value == 3 and len(rep7.witnesses) >= 2
 
 
-def test_scan_matches_per_graph_oracle_at_small_n():
+def test_scan_matches_per_graph_oracle_at_small_n(monkeypatch):
     # Independent re-derivation of the whole census: naive subset-scan MIS
-    # profiles over every labeled graph, no bitmask machinery shared.
+    # profiles over every labeled graph, no bitmask machinery shared.  The
+    # scan also runs in small chunks, which puts the prefix skip, the
+    # low-bit clique filter and the straddling constraints to work; its
+    # reports, witness truncation order included, must not change.
     from itertools import combinations
 
+    import mislab.search as search
     from oracles import naive_has_clique, naive_mis_profile
 
     for n in (4, 5):
         pairs = list(combinations(range(n), 2))
-        for t in (None, 3):
+        for t in (None, 3, 4):
             for k in (None, 1, 2):
                 best = -1
                 for mask in range(1 << len(pairs)):
@@ -187,8 +244,14 @@ def test_scan_matches_per_graph_oracle_at_small_n():
                     prof = naive_mis_profile(g)
                     value = prof.get(k, 0) if k is not None else sum(prof.values())
                     best = max(best, value)
-                got = exhaustive_m(SearchSpec(n, k=k, t=t)).value
-                assert got == best, (n, t, k, got, best)
+                for cap in (64, 1):
+                    spec = SearchSpec(n, k=k, t=t, collect_witnesses=True, witness_cap=cap)
+                    whole = exhaustive_m(spec).to_json()
+                    assert whole["value"] == best, (n, t, k, whole["value"], best)
+                    for bits in (3, 5):
+                        monkeypatch.setattr(search, "_CHUNK_EDGE_BITS", bits)
+                        assert exhaustive_m(spec).to_json() == whole, (n, t, k, cap, bits)
+                        monkeypatch.undo()
 
 
 def test_graph_from_edge_mask_round_trip():
