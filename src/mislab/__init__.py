@@ -52,7 +52,6 @@ from .graphs import (
     cliques_of_size,
     disjoint_union,
     has_clique,
-    hypergraph_is_independent,
     hypergraph_is_maximal_independent,
     induced_subgraph,
     is_independent,

@@ -333,7 +333,6 @@ class Blowup:
     template: Hypergraph
     sizes: tuple[int, ...]
     gadget_kind: str
-    gadgets: tuple[PartitionedGraph, ...]
     gadget_mis: tuple[tuple[tuple[int, ...], ...], ...]
     part_offsets: tuple[int, ...]
     part_dims: tuple[tuple[int, ...], ...]
@@ -437,7 +436,6 @@ def blowup(spec: BlowupSpec) -> Blowup:
         template=h,
         sizes=spec.sizes,
         gadget_kind=spec.gadget_kind,
-        gadgets=gadget_pgs,
         gadget_mis=tuple(gadget_mis),
         part_offsets=tuple(offsets),
         part_dims=tuple(dims),

@@ -7,6 +7,11 @@ neighborhood covers every vertex, which is a single mask compare at the
 leaves.  Skipped vertices that can no longer be dominated kill a branch
 early; this prune is what keeps the blowup-sized instances (50+ vertices)
 tractable.
+
+The hypergraph counter keeps a "blocked" mask instead: the outside vertices
+that would complete an edge if added.  A new pick v can only block the one
+vertex left outside an edge through v, so each vertex keeps its edges' rest
+masks ``e & ~(1 << v)``.  The same leaf compare and skipped-vertex prune apply.
 """
 
 from __future__ import annotations
@@ -327,42 +332,49 @@ def hypergraph_enumerate_k_mis(
     """
     if not 0 <= k <= h.n:
         raise ValueError(f"k={k} outside 0..{h.n}")
-    n = h.n
-    full = (1 << n) - 1
-    masks = h.edge_masks()
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for em in masks:
+    full = (1 << h.n) - 1
+    rests: list[list[int]] = [[] for _ in range(h.n)]
+    for em in h.edge_masks():
         for v in iter_bits(em):
-            incident[v].append(em)
+            rests[v].append(em & ~(1 << v))
     found = 0
 
-    def maximal(chosen: int) -> bool:
-        out = full & ~chosen
-        while out:
-            low = out & -out
-            w = low.bit_length() - 1
-            if not any(em & ~chosen == low for em in incident[w]):
-                return False
-            out ^= low
-        return True
-
-    def rec(pos: int, size: int, chosen: int) -> None:
+    def rec(pos: int, size: int, chosen: int, blocked: int) -> None:
         nonlocal found
         if size == k:
-            if maximal(chosen):
+            if chosen | blocked == full:
                 found += 1
                 if visitor is not None:
                     visitor(chosen)
             return
-        if n - pos < k - size:
+        need = k - size
+        fut = (full >> pos << pos) & ~blocked
+        if fut.bit_count() < need:
             return
-        for v in range(pos, n):
-            vb = 1 << v
-            grown = chosen | vb
-            if all(em & ~grown for em in incident[v]):
-                rec(v + 1, size + 1, grown)
+        # Each skipped vertex needs an edge that at most `need` future picks complete.
+        reach = chosen | fut
+        free = ((1 << pos) - 1) & ~(chosen | blocked)
+        while free:
+            low = free & -free
+            for r in rests[low.bit_length() - 1]:
+                if not r & ~reach and (r & ~chosen).bit_count() <= need:
+                    break
+            else:
+                return
+            free ^= low
+        cand = fut
+        while cand:
+            low = cand & -cand
+            grown = chosen | low
+            nb = blocked  # only an edge through the pick can newly block a vertex
+            for r in rests[low.bit_length() - 1]:
+                out = r & ~grown
+                if not out & (out - 1):
+                    nb |= out
+            rec(low.bit_length(), size + 1, grown, nb)
+            cand ^= low
 
-    rec(0, 0, 0)
+    rec(0, 0, 0, 0)
     return found
 
 

@@ -10,6 +10,7 @@ each chunk offset by 63).  Hypergraphs serialize as
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .graphs import FractionalMatching, Graph, Hypergraph
 
@@ -73,11 +74,13 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 
 def hypergraph_from_json(obj: dict) -> Hypergraph:
     try:
-        n = int(obj["n"])
-        edges = [[int(v) for v in e] for e in obj["edges"]]
+        n, edges = obj["n"], [list(e) for e in obj["edges"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad hypergraph JSON: {exc}") from exc
-    return Hypergraph.from_edges(n, edges)
+    # Floats and strings are rejected, not truncated; bools load as 0/1.
+    if not all(isinstance(v, int) for v in (n, *chain.from_iterable(edges))):
+        raise ValueError("bad hypergraph JSON: n and every vertex must be integers")
+    return Hypergraph.from_edges(int(n), ([int(v) for v in e] for e in edges))
 
 
 def matching_to_json(m: FractionalMatching) -> dict:

@@ -268,24 +268,11 @@ def shadow(h: Hypergraph) -> Graph:
     return Graph(h.n, tuple(rows))
 
 
-def hypergraph_is_independent(h: Hypergraph, s: VertexSet) -> bool:
-    """True iff s contains no edge of h."""
-    m = as_mask(h.n, s)
-    return all(em & ~m for em in h.edge_masks())
-
-
 def hypergraph_is_maximal_independent(h: Hypergraph, s: VertexSet) -> bool:
     """True iff s is independent and adding any outside vertex traps an edge."""
     m = as_mask(h.n, s)
-    masks = h.edge_masks()
-    if not all(em & ~m for em in masks):
-        return False
-    outside = ((1 << h.n) - 1) & ~m
-    for w in iter_bits(outside):
-        wbit = 1 << w
-        if not any(em & ~m == wbit for em in masks):
-            return False
-    return True
+    left = {em & ~m for em in h.edge_masks()}
+    return 0 not in left and all(1 << w in left for w in iter_bits(((1 << h.n) - 1) & ~m))
 
 
 @dataclass(frozen=True)

@@ -49,25 +49,31 @@ def naive_has_clique(g: Graph, t: int) -> bool:
     )
 
 
-def naive_hyper_count_k_mis(h: Hypergraph, k: int) -> int:
+def naive_hyper_is_mis(h: Hypergraph, s: set[int]) -> bool:
+    """No edge inside s, and every outside vertex completes one when added."""
     edge_sets = [set(e) for e in h.edges]
-    verts = list(range(h.n))
-    count = 0
-    for sub in combinations(verts, k):
-        s = set(sub)
-        if any(e <= s for e in edge_sets):
-            continue
-        maximal = True
-        for w in verts:
-            if w in s:
-                continue
-            grown = s | {w}
-            if not any(e <= grown for e in edge_sets):
-                maximal = False
-                break
-        if maximal:
-            count += 1
-    return count
+    if any(e <= s for e in edge_sets):
+        return False
+    return all(
+        any(e <= s | {w} for e in edge_sets) for w in range(h.n) if w not in s
+    )
+
+
+def naive_hyper_mis_list(h: Hypergraph, k: int) -> list[int]:
+    """Size-k MIS's as bitmasks, in lexicographic order of their sorted vertices.
+
+    That is the order in which the backtracking counter visits them: it picks
+    vertices in increasing order, depth first.
+    """
+    return [
+        sum(1 << v for v in sub)
+        for sub in combinations(range(h.n), k)
+        if naive_hyper_is_mis(h, set(sub))
+    ]
+
+
+def naive_hyper_count_k_mis(h: Hypergraph, k: int) -> int:
+    return len(naive_hyper_mis_list(h, k))
 
 
 def hyper_contains_complete(h: Hypergraph, t: int, r: int) -> bool:
@@ -153,3 +159,13 @@ def random_tripartite_triangle_free(
 def random_hypergraph3(rng: random.Random, n: int, p: float) -> Hypergraph:
     edges = [tr for tr in combinations(range(n), 3) if rng.random() < p]
     return Hypergraph(n, tuple(edges))
+
+
+def random_mixed_hypergraph(rng: random.Random, n: int, m: int) -> Hypergraph:
+    """Up to m distinct random edges of sizes 2..4 (fewer when n is small)."""
+    edges = set()
+    for _ in range(m):
+        size = rng.randint(2, 4)
+        if size <= n:
+            edges.add(tuple(sorted(rng.sample(range(n), size))))
+    return Hypergraph(n, tuple(sorted(edges)))

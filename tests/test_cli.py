@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mislab import Graph, graph6_decode, graph6_encode, count_k_mis, has_clique
 from mislab.cli import main
@@ -141,6 +148,56 @@ def test_count_bad_file_exits_2(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(["count", "--graph", str(tmp_path / "missing.g6")], capsys)
     assert code == 2
+
+
+def test_count_non_integer_hypergraph_json_exits_2(capsys, tmp_path):
+    # Truncating 4.9 to 4 and 1.5 to 1 used to count a different hypergraph.
+    path = tmp_path / "bad.json"
+    for doc in ({"n": 4.9, "edges": [[0, 1.5, 2]]}, {"n": "4", "edges": [[0, 1]]}):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["count", "--graph", str(path), "--k", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+    path.write_text(json.dumps({"n": 3, "edges": [[False, True, 2]]}))
+    code, out, _ = run(["count", "--graph", str(path), "--k", "2"], capsys)
+    assert code == 0 and out.strip() == "3"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=20,
+)
+_VERTEX = st.integers(-1, 12) | st.booleans() | st.floats(-1, 12)
+_EDGES = st.lists(st.lists(_VERTEX, min_size=1, max_size=4, unique=True), max_size=8)
+_VALID_EDGES = st.lists(
+    st.lists(st.integers(0, 9), min_size=2, max_size=4, unique=True), max_size=8
+)
+# Arbitrary JSON, hypergraph-shaped documents with missing keys or bad values,
+# and documents that are mostly valid, so the counting path runs too.
+_DOCS = (
+    _JSON
+    | st.fixed_dictionaries(
+        {}, optional={"n": st.integers(0, 10) | _JSON, "edges": _EDGES | _JSON}
+    )
+    | st.fixed_dictionaries({"n": st.just(10), "edges": _VALID_EDGES})
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(doc=_DOCS, k=st.integers(-2, 12))
+def test_count_fuzzed_json_exits_with_documented_code(doc, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["count", "--graph", path, "--k", str(k)])
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
 
 
 def test_search_json_and_witnesses(capsys):

@@ -20,6 +20,8 @@ from mislab import (
     gadget,
     greedy_mis_partition,
     hypergraph_count_k_mis,
+    hypergraph_enumerate_k_mis,
+    hypergraph_is_maximal_independent,
     is_maximal_independent,
     rs_packing,
     star_hypergraph,
@@ -32,9 +34,12 @@ from mislab import (
 )
 from oracles import (
     naive_hyper_count_k_mis,
+    naive_hyper_is_mis,
+    naive_hyper_mis_list,
     naive_mis_profile,
     random_graph,
     random_hypergraph3,
+    random_mixed_hypergraph,
     random_triangle_free,
 )
 
@@ -217,6 +222,47 @@ def test_hypergraph_counts_match_naive_oracle():
         h = random_hypergraph3(rng, n, rng.random())
         for k in range(n + 1):
             assert hypergraph_count_k_mis(h, k) == naive_hyper_count_k_mis(h, k)
+
+
+def test_hypergraph_counter_matches_naive_on_mixed_edge_sizes():
+    # The naive list is in the order of the plain increasing-vertex walk that
+    # checks maximality only at the leaves; the pruned walk must keep it.
+    rng = random.Random(2024)
+    for _ in range(150):
+        h = random_mixed_hypergraph(rng, rng.randint(0, 9), rng.randint(0, 14))
+        for k in range(h.n + 1):
+            seen: list[int] = []
+            assert hypergraph_enumerate_k_mis(h, k, seen.append) == len(seen)
+            assert hypergraph_count_k_mis(h, k) == len(seen)
+            assert all(hypergraph_is_maximal_independent(h, s) for s in seen)
+            assert seen == naive_hyper_mis_list(h, k), (h, k)
+
+
+def test_hypergraph_maximality_check_matches_naive():
+    rng = random.Random(5)
+    for _ in range(40):
+        h = random_mixed_hypergraph(rng, rng.randint(0, 7), rng.randint(0, 10))
+        for mask in range(1 << h.n):
+            s = {v for v in range(h.n) if mask >> v & 1}
+            assert hypergraph_is_maximal_independent(h, mask) == naive_hyper_is_mis(h, s)
+
+
+def test_two_uniform_hypergraph_counts_like_its_graph():
+    rng = random.Random(31)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 10), rng.random())
+        h = Hypergraph.from_edges(g.n, g.edges())
+        for k in range(g.n + 1):
+            seen_h: list[int] = []
+            seen_g: list[int] = []
+            hypergraph_enumerate_k_mis(h, k, seen_h.append)
+            enumerate_k_mis(g, k, seen_g.append)
+            assert seen_h == seen_g and len(seen_h) == count_k_mis(g, k)
+
+
+def test_window_hypergraph_regression_values():
+    assert hypergraph_count_k_mis(window_hypergraph(4, 4, 20), 4) == 625
+    assert hypergraph_count_k_mis(window_hypergraph(4, 5, 20), 5) == 1024
 
 
 def test_counts_match_networkx_clique_enumeration_if_available():

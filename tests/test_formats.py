@@ -10,6 +10,7 @@ import pytest
 from mislab import (
     FractionalMatching,
     Graph,
+    Hypergraph,
     graph6_decode,
     graph6_encode,
     hypergraph_from_json,
@@ -88,6 +89,34 @@ def test_hypergraph_json_round_trip():
     assert hypergraph_from_json(obj) == h
     with pytest.raises(ValueError):
         hypergraph_from_json({"edges": [[0, 1]]})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 4.9, "edges": [[0, 1, 2]]},
+        {"n": 4, "edges": [[0, 1.5, 2]]},
+        {"n": 4.0, "edges": []},
+        {"n": "4", "edges": [[0, 1]]},
+        {"n": 4, "edges": [[0, "1"]]},
+        {"n": 4, "edges": ["01"]},
+        {"n": 4, "edges": [[0, [1]]]},
+        {"n": 4, "edges": [[0, None]]},
+        {"n": 4, "edges": 5},
+        {"n": 4, "edges": [3]},
+        {"n": 4},
+        [4, [[0, 1]]],
+    ],
+)
+def test_hypergraph_json_rejects_non_integers(obj):
+    with pytest.raises(ValueError):
+        hypergraph_from_json(obj)
+
+
+def test_hypergraph_json_bools_load_as_integers():
+    h = hypergraph_from_json({"n": 3, "edges": [[False, True, 2]]})
+    assert h == Hypergraph(3, ((0, 1, 2),))
+    assert all(type(v) is int for e in h.edges for v in e)
 
 
 def test_matching_json_round_trip():
