@@ -202,19 +202,24 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _load_countable(path: str) -> Graph | Hypergraph:
-    """Read a graph6 line or a hypergraph JSON document."""
+    """Read a graph6 line or a hypergraph JSON document.
+
+    A JSON document starts with ``{`` or ``[``, but so do the graph6 lines of
+    graphs on 60 or 28 vertices, so those go to JSON only when they are not
+    valid graph6; the error then names the JSON fault.
+    """
     with open(path, "rb") as fh:
         blob = fh.read().strip()
     if not blob:
         raise CliError(f"empty input {path}")
-    if blob.lstrip()[:1] == b"{":
-        try:
-            return hypergraph_from_json(json.loads(blob))
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot parse {path}: {exc}")
     try:
         return graph6_decode(blob.splitlines()[0])
     except ValueError as exc:
+        if blob[:1] not in (b"{", b"["):
+            raise CliError(f"cannot parse {path}: {exc}")
+    try:
+        return hypergraph_from_json(json.loads(blob))
+    except (ValueError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot parse {path}: {exc}")
 
 

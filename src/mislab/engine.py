@@ -1,12 +1,17 @@
 """Counting and enumeration of maximal independent sets (MIS's).
 
-The counters walk vertices in increasing order and keep two bitmasks per
-branch: the closed neighborhood of the chosen set (its "dominated" region)
-and the candidate window.  A chosen set is maximal exactly when its closed
-neighborhood covers every vertex, which is a single mask compare at the
-leaves.  Skipped vertices that can no longer be dominated kill a branch
-early; this prune is what keeps the blowup-sized instances (50+ vertices)
-tractable.
+The graph counter ``enumerate_k_mis`` is one backtracking core for a fixed
+size k and for every size (k=None).  It walks vertices in increasing order
+and keeps two bitmasks per branch: the closed neighborhood of the chosen set
+(its "dominated" region) and the candidate window.  A chosen set is maximal
+exactly when its closed neighborhood covers every vertex.  The cuts run in
+the parent, before a child is called: a child needs enough candidates left
+for its remaining picks, and every vertex passed over and still undominated
+needs a neighbor among them.  Once a skipped vertex has no neighbor among
+the later candidates, the parent's loop stops.  The last pick of a fixed
+size calls no child: it must cover every undominated vertex, so it lies in
+the closed neighborhood of the lowest one, and each such candidate is
+settled with a single mask compare.
 
 The hypergraph counter keeps a "blocked" mask instead: the outside vertices
 that would complete an edge if added.  A new pick v can only block the one
@@ -36,16 +41,18 @@ from .graphs import (
 
 def enumerate_k_mis(
     g: Graph,
-    k: int,
+    k: int | None,
     visitor: Callable[[int], None] | None = None,
     limit: int | None = None,
 ) -> int:
     """Visit every maximal independent set of size exactly k, as a bitmask.
 
-    Returns the number visited (all of them when ``limit`` is None).  The
-    visitor may be None to just count.
+    ``k=None`` visits the MIS's of every size.  Sets are visited in
+    lexicographic order of their sorted vertices.  Returns the number
+    visited (all of them when ``limit`` is None).  The visitor may be None
+    to just count.
     """
-    if not 0 <= k <= g.n:
+    if k is not None and not 0 <= k <= g.n:
         raise ValueError(f"k={k} outside 0..{g.n}")
     n, adj = g.n, g.adj
     full = (1 << n) - 1
@@ -58,36 +65,59 @@ def enumerate_k_mis(
     closed = tuple(adj[v] | (1 << v) for v in range(n))
     found = 0
 
-    def rec(pos: int, size: int, dom: int, chosen: int) -> bool:
+    # need counts the picks still to make; without a size target it starts
+    # at 0 and only falls, so the count cuts (>= need) never fire.
+    def rec(pos: int, need: int, dom: int, chosen: int) -> bool:
         nonlocal found
-        if size == k:
-            if dom == full:
-                found += 1
-                if visitor is not None:
-                    visitor(chosen)
-                return limit is not None and found >= limit
+        missing = full & ~dom
+        fut = missing >> pos << pos
+        if need == 1:
+            # The last pick must dominate every missing vertex, the lowest
+            # one included, so it lies in that vertex's closed neighborhood.
+            cand = fut & closed[(missing & -missing).bit_length() - 1]
+            while cand:
+                low = cand & -cand
+                if not missing & ~closed[low.bit_length() - 1]:
+                    found += 1
+                    if visitor is not None:
+                        visitor(chosen | low)
+                    if limit is not None and found >= limit:
+                        return True
+                cand ^= low
             return False
-        fut = (full >> pos << pos) & ~dom
-        if fut.bit_count() < k - size:
-            return False
-        # A vertex we already passed over must still be dominatable by a
-        # future pick, otherwise no completion of this branch is maximal.
-        undom = ~dom & ((1 << pos) - 1)
-        while undom:
-            low = undom & -undom
-            if not adj[low.bit_length() - 1] & fut:
+        if not fut:
+            # Nothing left to pick: a leaf without a size target, else dead.
+            if need > 0 or missing:
                 return False
-            undom ^= low
+            found += 1
+            if visitor is not None:
+                visitor(chosen)
+            return limit is not None and found >= limit
         cand = fut
-        while cand:
+        while cand and cand.bit_count() >= need:
             low = cand & -cand
             v = low.bit_length() - 1
-            if rec(v + 1, size + 1, dom | closed[v], chosen | low):
-                return True
-            cand ^= low
+            cand ^= low  # now the candidates above v
+            rest = cand & ~closed[v]
+            if rest.bit_count() >= need - 1:
+                # Every vertex passed over and left undominated by v must
+                # still be dominatable by a later pick, or no completion of
+                # the child is maximal.  A last pick's compare checks this.
+                undom = missing & (low - 1) & ~closed[v] if need != 2 else 0
+                while undom:
+                    u = undom & -undom
+                    if not adj[u.bit_length() - 1] & rest:
+                        break
+                    undom ^= u
+                else:
+                    if rec(v + 1, need - 1, dom | closed[v], chosen | low):
+                        return True
+            # v is skipped from here on: a later pick must dominate it.
+            if not adj[v] & cand:
+                break
         return False
 
-    rec(0, 0, 0, 0)
+    rec(0, 0 if k is None else k, 0, 0)
     return found
 
 
@@ -98,33 +128,7 @@ def count_k_mis(g: Graph, k: int) -> int:
 
 def count_all_mis(g: Graph) -> int:
     """Exact number of maximal independent sets of any size."""
-    n, adj = g.n, g.adj
-    full = (1 << n) - 1
-    closed = tuple(adj[v] | (1 << v) for v in range(n))
-    count = 0
-
-    def rec(pos: int, dom: int) -> None:
-        nonlocal count
-        fut = (full >> pos << pos) & ~dom
-        if not fut:
-            if dom == full:
-                count += 1
-            return
-        undom = ~dom & ((1 << pos) - 1)
-        while undom:
-            low = undom & -undom
-            if not adj[low.bit_length() - 1] & fut:
-                return
-            undom ^= low
-        cand = fut
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            rec(v + 1, dom | closed[v])
-            cand ^= low
-
-    rec(0, 0)
-    return count
+    return enumerate_k_mis(g, None)
 
 
 def transversal_mis_list(pg: PartitionedGraph) -> list[int]:

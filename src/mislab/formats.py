@@ -73,6 +73,8 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 
 
 def hypergraph_from_json(obj: dict) -> Hypergraph:
+    if not isinstance(obj, dict):
+        raise ValueError("bad hypergraph JSON: expected an object with n and edges")
     try:
         n, edges = obj["n"], [list(e) for e in obj["edges"]]
     except (KeyError, TypeError) as exc:

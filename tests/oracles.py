@@ -12,27 +12,33 @@ from itertools import combinations
 from mislab import Graph, Hypergraph
 
 
+def naive_mis_list(g: Graph, k: int) -> list[int]:
+    """Size-k MIS's as bitmasks, in lexicographic order of their sorted vertices.
+
+    That is the order in which the backtracking counter visits them: it picks
+    vertices in increasing order, depth first.
+    """
+    edges = {frozenset(e) for e in g.edges()}
+    out = []
+    for sub in combinations(range(g.n), k):
+        if any(frozenset(p) in edges for p in combinations(sub, 2)):
+            continue
+        if all(
+            any(frozenset((w, u)) in edges for u in sub)
+            for w in range(g.n)
+            if w not in sub
+        ):
+            out.append(sum(1 << v for v in sub))
+    return out
+
+
 def naive_mis_profile(g: Graph) -> dict[int, int]:
     """MIS count by size via a full subset scan."""
-    n = g.n
-    edges = {frozenset(e) for e in g.edges()}
-    verts = list(range(n))
-    out: dict[int, int] = {}
-    for size in range(n + 1):
-        for sub in combinations(verts, size):
-            s = set(sub)
-            if any(frozenset(p) in edges for p in combinations(sub, 2)):
-                continue
-            maximal = True
-            for w in verts:
-                if w in s:
-                    continue
-                if not any(frozenset((w, u)) in edges for u in s):
-                    maximal = False
-                    break
-            if maximal:
-                out[size] = out.get(size, 0) + 1
-    return out
+    return {
+        size: len(found)
+        for size in range(g.n + 1)
+        if (found := naive_mis_list(g, size))
+    }
 
 
 def naive_count_k_mis(g: Graph, k: int) -> int:

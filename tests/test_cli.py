@@ -150,6 +150,28 @@ def test_count_bad_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_count_json_array_names_json(capsys, tmp_path):
+    # A JSON array used to be read as graph6 ("malformed graph6 byte 48").
+    path = tmp_path / "edges.json"
+    for text in ("[[0,1],[1,2]]", json.dumps([[0, 1], [1, 2]], indent=1)):
+        path.write_text(text)
+        code, out, err = run(["count", "--graph", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "JSON" in err and "graph6" not in err and "Traceback" not in err
+
+
+def test_count_graph6_starting_like_json(capsys, tmp_path):
+    # The graph6 size byte is '[' for n=28 and '{' for n=60.
+    path = tmp_path / "g.g6"
+    for n in (28, 60):
+        data = graph6_encode(Graph.empty(n))
+        assert data[:1] in (b"[", b"{")
+        path.write_bytes(data + b"\n")
+        code, out, _ = run(["count", "--graph", str(path), "--k", str(n)], capsys)
+        assert code == 0 and out.strip() == "1"
+
+
 def test_count_non_integer_hypergraph_json_exits_2(capsys, tmp_path):
     # Truncating 4.9 to 4 and 1.5 to 1 used to count a different hypergraph.
     path = tmp_path / "bad.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -36,6 +37,7 @@ from oracles import (
     naive_hyper_count_k_mis,
     naive_hyper_is_mis,
     naive_hyper_mis_list,
+    naive_mis_list,
     naive_mis_profile,
     random_graph,
     random_hypergraph3,
@@ -77,6 +79,31 @@ def test_enumerate_visitor_and_limit():
     assert len(set(seen)) == 9
     capped = enumerate_k_mis(g, 2, lambda m: None, limit=4)
     assert capped == 4
+
+
+def test_visit_order_and_limit_match_naive_list():
+    # transversal_reduction seeds its partition from the first set visited,
+    # so the order is part of the contract, and a limit keeps its prefix.
+    rng = random.Random(4242)
+    for _ in range(160):
+        n = rng.randint(0, 12)
+        g = random_graph(rng, n, rng.random())
+        every: list[int] = []
+        for k in range(n + 1):
+            want = naive_mis_list(g, k)
+            every += want
+            seen: list[int] = []
+            assert enumerate_k_mis(g, k, seen.append) == len(want)
+            assert seen == want, (g, k)
+            for limit in (1, 2, 3):
+                seen = []
+                got = enumerate_k_mis(g, k, seen.append, limit=limit)
+                assert got == len(seen) == min(limit, len(want))
+                assert seen == want[:limit]
+                assert enumerate_k_mis(g, k, limit=limit) == got
+        seen = []
+        assert enumerate_k_mis(g, None, seen.append) == len(every)
+        assert seen == sorted(every, key=lambda m: [v for v in range(n) if m >> v & 1])
 
 
 def test_counts_match_naive_oracle():
@@ -284,6 +311,39 @@ def test_counts_match_networkx_clique_enumeration_if_available():
         assert count_all_mis(g) == sum(by_size.values())
         for k in range(n + 1):
             assert count_k_mis(g, k) == by_size.get(k, 0)
+
+
+@pytest.mark.parametrize("k,want", [(8, 1120), (9, 2816), (10, 6688)])
+def test_k4_free_cycle_blowup_counts_pinned(k, want):
+    # The deepest searches in the suite, where the parent-side cuts fire most;
+    # networkx's maximal cliques of the complement check the pinned values.
+    g = tight_cycle_blowup(k, 4, 2).graph
+    assert count_k_mis(g, k) == want
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    comp = nx.complement(h)
+    assert sum(len(c) == k for c in nx.find_cliques(comp)) == want
+
+
+def test_k_mis_walk_node_count_pinned():
+    # Each call of the inner recursion is one search-tree node.  The cuts in
+    # the parent decide which children are called at all, so dropping the
+    # count cut or the skip cut, which cannot change a count, raises this.
+    g = tight_cycle_blowup(8, 4, 2).graph
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "rec":
+            nodes += 1
+
+    sys.setprofile(profile)
+    try:
+        count = count_k_mis(g, 8)
+    finally:
+        sys.setprofile(None)
+    assert (count, nodes) == (1120, 8555)
 
 
 def test_cycle_blowup_counts_clear_family_floor():
