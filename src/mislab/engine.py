@@ -17,6 +17,12 @@ The hypergraph counter keeps a "blocked" mask instead: the outside vertices
 that would complete an edge if added.  A new pick v can only block the one
 vertex left outside an edge through v, so each vertex keeps its edges' rest
 masks ``e & ~(1 << v)``.  The same leaf compare and skipped-vertex prune apply.
+
+The counters build none of these tables themselves: they read them from the
+immutable objects, which build each once, on first use (``Graph.closed``,
+``Hypergraph.rest_masks``, ``PartitionedGraph.part_masks``).  Counting one
+graph at every k, or one subgraph under many random splits, then packs its
+masks once.
 """
 
 from __future__ import annotations
@@ -50,19 +56,24 @@ def enumerate_k_mis(
     ``k=None`` visits the MIS's of every size.  Sets are visited in
     lexicographic order of their sorted vertices.  Returns the number
     visited (all of them when ``limit`` is None).  The visitor may be None
-    to just count.
+    to just count.  ``limit=0`` visits nothing; a negative limit raises
+    ValueError.
     """
     if k is not None and not 0 <= k <= g.n:
         raise ValueError(f"k={k} outside 0..{g.n}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit={limit} is negative")
+    if limit == 0:
+        return 0
     n, adj = g.n, g.adj
     full = (1 << n) - 1
     if k == 0:
-        if n == 0 and limit != 0:
+        if n == 0:
             if visitor is not None:
                 visitor(0)
             return 1
         return 0
-    closed = tuple(adj[v] | (1 << v) for v in range(n))
+    closed = g.closed
     found = 0
 
     # need counts the picks still to make; without a size target it starts
@@ -138,9 +149,9 @@ def transversal_mis_list(pg: PartitionedGraph) -> list[int]:
     """
     g = pg.graph
     full = g.full_mask()
-    closed = tuple(g.adj[v] | (1 << v) for v in range(g.n))
-    order = sorted(pg.parts, key=len)
-    masks = [vertex_mask(p) for p in order]
+    adj, closed = g.adj, g.closed
+    # A part's size is its mask's bit count; the stable sort keeps ties in part order.
+    masks = sorted(pg.part_masks(), key=int.bit_count)
     out: list[int] = []
 
     def rec(depth: int, banned: int, dom: int, chosen: int) -> None:
@@ -155,7 +166,7 @@ def transversal_mis_list(pg: PartitionedGraph) -> list[int]:
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
-            rec(depth + 1, banned | g.adj[v], dom | closed[v], chosen | low)
+            rec(depth + 1, banned | adj[v], dom | closed[v], chosen | low)
             cand ^= low
 
     rec(0, 0, 0, 0)
@@ -337,10 +348,7 @@ def hypergraph_enumerate_k_mis(
     if not 0 <= k <= h.n:
         raise ValueError(f"k={k} outside 0..{h.n}")
     full = (1 << h.n) - 1
-    rests: list[list[int]] = [[] for _ in range(h.n)]
-    for em in h.edge_masks():
-        for v in iter_bits(em):
-            rests[v].append(em & ~(1 << v))
+    rests = h.rest_masks
     found = 0
 
     def rec(pos: int, size: int, chosen: int, blocked: int) -> None:

@@ -1,10 +1,14 @@
 """Interchange formats: graph6 byte strings and JSON shapes.
 
-graph6 follows the standard packing for n <= 62 (single size byte n+63,
-then the upper triangle read column by column, packed into 6-bit chunks,
-each chunk offset by 63).  Hypergraphs serialize as
-``{"n": int, "edges": [[int, ...], ...]}`` and fractional matchings as
-``{"weights": [{"edge": i, "num": p, "den": q}, ...]}``.
+graph6 follows the standard packing: a size header, then the upper triangle
+read column by column, packed into 6-bit chunks, each chunk offset by 63.
+The header is the single byte n+63 for n <= 62, and ``~`` followed by n in
+three 6-bit chunks (18 bits, big-endian, each offset by 63) for larger n.
+Only the shortest header for n is accepted.  The 8-byte header (``~~`` and
+36 bits, for n > 258047) and any n above ``MAX_VERTICES`` raise ValueError.
+
+Hypergraphs serialize as ``{"n": int, "edges": [[int, ...], ...]}`` and
+fractional matchings as ``{"weights": [{"edge": i, "num": p, "den": q}, ...]}``.
 """
 
 from __future__ import annotations
@@ -12,13 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .graphs import FractionalMatching, Graph, Hypergraph
+from .graphs import MAX_VERTICES, FractionalMatching, Graph, Hypergraph
 
 
 def graph6_encode(g: Graph) -> bytes:
-    if g.n > 62:
-        raise ValueError("graph6 single-byte header supports n <= 62 only")
-    out = bytearray([g.n + 63])
+    if g.n <= 62:
+        out = bytearray([g.n + 63])
+    else:
+        out = bytearray([126, (g.n >> 12) + 63, (g.n >> 6 & 63) + 63, (g.n & 63) + 63])
     acc = 0
     nbits = 0
     for j in range(1, g.n):
@@ -45,17 +50,26 @@ def graph6_decode(data: bytes | str) -> Graph:
     for b in raw:
         if not 63 <= b <= 126:
             raise ValueError(f"malformed graph6 byte {b}")
-    n = raw[0] - 63
-    if n > 62:
-        raise ValueError("graph6 input beyond single-byte size header")
+    n, head = raw[0] - 63, 1
+    if n == 63:
+        # "~" and n in 18 bits; "~~" and 36 bits would mean n > 258047.
+        if raw[1:2] == b"~":
+            raise ValueError(f"graph6 8-byte size header: n above {MAX_VERTICES}")
+        if len(raw) < 4:
+            raise ValueError("graph6 size header truncated")
+        n, head = (raw[1] - 63) << 12 | (raw[2] - 63) << 6 | (raw[3] - 63), 4
+        if n <= 62:
+            raise ValueError(f"graph6 4-byte size header for n={n} <= 62")
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph6 vertex count {n} above {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
-    expect = 1 + (nbits + 5) // 6
+    expect = head + (nbits + 5) // 6
     if len(raw) != expect:
         raise ValueError(f"graph6 length {len(raw)} != expected {expect} for n={n}")
     bits = 0
-    for b in raw[1:]:
+    for b in raw[head:]:
         bits = (bits << 6) | (b - 63)
-    pad = len(raw[1:]) * 6 - nbits
+    pad = (len(raw) - head) * 6 - nbits
     bits >>= pad
     rows = [0] * n
     pos = nbits - 1

@@ -3,13 +3,17 @@
 Vertices are 0..n-1 everywhere.  Vertex sets travel as plain int bitmasks
 (bit v set <=> v is in the set); public predicates also accept any iterable
 of vertex indices and normalize it first.  All objects are immutable after
-construction, so they can be shared freely across worker processes.
+construction, so they can be shared freely across worker processes.  They
+cache derived bitmask tables (a graph's closed neighborhoods, a hypergraph's
+per-vertex edge rests, a partition's part masks) on first use; the cache is
+not a field, so it never changes equality, hashing or the stored structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -95,6 +99,11 @@ class Graph:
         if n < 3:
             raise ValueError("cycle needs at least 3 vertices")
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+    @cached_property
+    def closed(self) -> tuple[int, ...]:
+        """Closed neighborhoods: ``closed[v]`` is ``adj[v]`` plus v itself."""
+        return tuple(row | (1 << v) for v, row in enumerate(self.adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -253,6 +262,18 @@ class Hypergraph:
     def edge_masks(self) -> tuple[int, ...]:
         return tuple(vertex_mask(e) for e in self.edges)
 
+    @cached_property
+    def rest_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex v, the mask of e minus v for each edge e through v, in edge order."""
+        rests: list[list[int]] = [[] for _ in range(self.n)]
+        for e in self.edges:
+            em = 0
+            for v in e:
+                em |= 1 << v
+            for v in e:
+                rests[v].append(em ^ (1 << v))
+        return tuple(map(tuple, rests))
+
     def incident_edges(self, x: int) -> tuple[int, ...]:
         """Indices of the edges containing vertex x, in edge order."""
         return tuple(i for i, e in enumerate(self.edges) if x in e)
@@ -284,6 +305,7 @@ class PartitionedGraph:
 
     def __post_init__(self) -> None:
         seen = 0
+        masks = []
         for part in self.parts:
             if not part:
                 raise ValueError("empty part")
@@ -293,8 +315,11 @@ class PartitionedGraph:
             if m & seen:
                 raise ValueError("parts are not disjoint")
             seen |= m
+            masks.append(m)
         if seen != self.graph.full_mask():
             raise ValueError("parts do not cover the vertex set")
+        # Kept outside the fields, like a cached_property, for part_masks().
+        object.__setattr__(self, "_part_masks", tuple(masks))
 
     @classmethod
     def from_parts(cls, graph: Graph, parts: Iterable[Iterable[int]]) -> PartitionedGraph:
@@ -309,7 +334,8 @@ class PartitionedGraph:
             raise ValueError("parts must be lists of integer vertex ids") from None
 
     def part_masks(self) -> tuple[int, ...]:
-        return tuple(vertex_mask(p) for p in self.parts)
+        """Bitmask of each part, in part order (computed once, by validation)."""
+        return self._part_masks
 
     def part_of(self, v: int) -> int:
         for i, p in enumerate(self.parts):

@@ -7,9 +7,9 @@ deliberately independent of the package's bitmask machinery.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
-from mislab import Graph, Hypergraph
+from mislab import Graph, Hypergraph, PartitionedGraph
 
 
 def naive_mis_list(g: Graph, k: int) -> list[int]:
@@ -18,9 +18,14 @@ def naive_mis_list(g: Graph, k: int) -> list[int]:
     That is the order in which the backtracking counter visits them: it picks
     vertices in increasing order, depth first.
     """
+    return _mis_masks(g, combinations(range(g.n), k))
+
+
+def _mis_masks(g: Graph, subsets) -> list[int]:
+    """The vertex tuples among ``subsets`` that are MIS's of g, as bitmasks, in order."""
     edges = {frozenset(e) for e in g.edges()}
     out = []
-    for sub in combinations(range(g.n), k):
+    for sub in subsets:
         if any(frozenset(p) in edges for p in combinations(sub, 2)):
             continue
         if all(
@@ -43,6 +48,16 @@ def naive_mis_profile(g: Graph) -> dict[int, int]:
 
 def naive_count_k_mis(g: Graph, k: int) -> int:
     return naive_mis_profile(g).get(k, 0)
+
+
+def naive_transversal_mis_list(pg: PartitionedGraph) -> list[int]:
+    """MIS's with one vertex per part, as bitmasks, in the counter's order.
+
+    The counter fills the parts in order of size (ties in part order) and
+    tries each part's vertices in increasing order, depth first: the order of
+    ``itertools.product`` over the parts sorted that way.
+    """
+    return _mis_masks(pg.graph, product(*sorted(pg.parts, key=len)))
 
 
 def naive_has_clique(g: Graph, t: int) -> bool:

@@ -37,7 +37,7 @@ from mislab import (
     uniqueness_check,
     verify_theorem,
 )
-from oracles import (
+from naive import (
     hyper_contains_complete,
     naive_hyper_count_k_mis,
     naive_mis_profile,

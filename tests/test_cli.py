@@ -39,6 +39,27 @@ def test_construct_theorem_b(capsys):
     assert count_k_mis(g, 5) >= 32
 
 
+def test_construct_theorem_b_beyond_62_vertices(capsys, tmp_path):
+    path = tmp_path / "b.g6"
+    code, _, err = run(
+        ["construct", "theorem-b", "--t", "3", "--k", "5", "--m", "4", "--out", str(path)],
+        capsys,
+    )
+    assert code == 0 and "n=80" in err
+    g = graph6_decode(path.read_bytes())
+    assert g.n == 80 and not has_clique(g, 3)
+    code, out, _ = run(["count", "--graph", str(path), "--k", "5"], capsys)
+    assert code == 0 and int(out) == count_k_mis(g, 5)
+
+
+def test_count_graph6_above_max_vertices_exits_2(capsys, tmp_path):
+    path = tmp_path / "big.g6"
+    path.write_bytes(b"~?A@" + b"?" * ((129 * 128 // 2 + 5) // 6) + b"\n")
+    code, out, err = run(["count", "--graph", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "129" in err and "Traceback" not in err
+
+
 def test_construct_blowup_from_spec_file(capsys, tmp_path):
     spec = {
         "template": {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]},

@@ -39,7 +39,7 @@ from mislab import (
     trivial_packing,
     window_hypergraph,
 )
-from oracles import has_3term_ap, hyper_contains_complete
+from naive import has_3term_ap, hyper_contains_complete
 
 
 def test_comatching_shape():

@@ -33,12 +33,13 @@ from mislab import (
     trivial_packing,
     window_hypergraph,
 )
-from oracles import (
+from naive import (
     naive_hyper_count_k_mis,
     naive_hyper_is_mis,
     naive_hyper_mis_list,
     naive_mis_list,
     naive_mis_profile,
+    naive_transversal_mis_list,
     random_graph,
     random_hypergraph3,
     random_mixed_hypergraph,
@@ -79,6 +80,30 @@ def test_enumerate_visitor_and_limit():
     assert len(set(seen)) == 9
     capped = enumerate_k_mis(g, 2, lambda m: None, limit=4)
     assert capped == 4
+
+
+def test_enumerate_limit_zero_visits_nothing_and_negative_raises():
+    cases = [
+        (Graph.empty(0), 0),
+        (Graph.empty(1), 1),
+        (Graph.empty(2), None),
+        (Graph.cycle(5), 2),
+        (Graph.complete(3), 1),
+        (Graph.complete(3), None),
+    ]
+    for g, k in cases:
+        assert enumerate_k_mis(g, k) >= 1
+        seen: list[int] = []
+        assert enumerate_k_mis(g, k, seen.append, limit=0) == 0
+        assert enumerate_k_mis(g, k, limit=0) == 0
+        for limit in (-1, -7):
+            with pytest.raises(ValueError):
+                enumerate_k_mis(g, k, seen.append, limit=limit)
+            with pytest.raises(ValueError):
+                enumerate_k_mis(g, k, limit=limit)
+        assert seen == []
+    with pytest.raises(ValueError):
+        enumerate_k_mis(Graph.empty(3), 0, limit=-1)
 
 
 def test_visit_order_and_limit_match_naive_list():
@@ -146,6 +171,30 @@ def test_transversal_list_members_are_mis():
         assert all(
             (mask & sum(1 << v for v in part)).bit_count() == 1 for part in pg.parts
         )
+
+
+def test_transversal_list_order_matches_naive():
+    # Parts are filled smallest first, ties in part order, so the list order
+    # depends on the partition's order and not only on the graph.  Each part
+    # is a clique, so every independent transversal is maximal and the lists
+    # are long enough for the order to show.
+    rng = random.Random(515)
+    for _ in range(150):
+        n = rng.randint(1, 11)
+        vs = list(range(n))
+        rng.shuffle(vs)
+        cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 4))))
+        parts = [vs[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        part_of = {v: i for i, p in enumerate(parts) for v in p}
+        p = rng.random() * 0.5
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if part_of[u] == part_of[v] or rng.random() < p
+        ]
+        pg = PartitionedGraph.from_parts(Graph.from_edges(n, edges), parts)
+        assert transversal_mis_list(pg) == naive_transversal_mis_list(pg), (edges, parts)
 
 
 def test_greedy_partition_covers_with_independent_classes():

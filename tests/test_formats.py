@@ -19,7 +19,8 @@ from mislab import (
     matching_to_json,
     tight_cycle,
 )
-from oracles import random_graph
+from mislab.graphs import MAX_VERTICES
+from naive import random_graph
 
 
 def test_frozen_bytes():
@@ -52,10 +53,37 @@ def test_round_trip_random():
 
 def test_round_trip_boundary():
     rng = random.Random(3)
-    g = random_graph(rng, 62, 0.3)
-    assert graph6_decode(graph6_encode(g)) == g
-    with pytest.raises(ValueError):
-        graph6_encode(random_graph(rng, 63, 0.1))
+    for n in (62, 63, MAX_VERTICES):
+        g = random_graph(rng, n, 0.3)
+        assert graph6_decode(graph6_encode(g)) == g
+    # n=129 has a well-formed 4-byte header and data, but exceeds MAX_VERTICES.
+    blob = b"~?A@" + b"?" * ((129 * 128 // 2 + 5) // 6)
+    with pytest.raises(ValueError, match="above"):
+        graph6_decode(blob)
+
+
+@pytest.mark.parametrize("n", [63, 64, 80, 128])
+def test_long_header_matches_networkx(n):
+    nx = pytest.importorskip("networkx")
+    other = nx.gnp_random_graph(n, 0.3, seed=n)
+    g = Graph.from_edges(n, other.edges())
+    data = graph6_encode(g)
+    assert data[:1] == b"~" and len(data) == 4 + (n * (n - 1) // 2 + 5) // 6
+    assert data == nx.to_graph6_bytes(other, header=False).strip()
+    assert graph6_decode(nx.to_graph6_bytes(other)) == g
+    back = nx.from_graph6_bytes(data)
+    assert sorted(back.nodes) == list(range(n))
+    assert sorted(tuple(sorted(e)) for e in back.edges) == g.edges()
+
+
+def test_decode_rejects_bad_long_headers():
+    with pytest.raises(ValueError, match="truncated"):
+        graph6_decode(b"~?A")
+    # The 4-byte header for n=5 is legal graph6 but not the shortest form.
+    with pytest.raises(ValueError, match="4-byte"):
+        graph6_decode(b"~??Dhc")
+    with pytest.raises(ValueError, match="8-byte"):
+        graph6_decode(b"~~??????")
 
 
 def test_decode_rejects_malformed():

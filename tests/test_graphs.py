@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,7 +14,10 @@ from mislab import (
     Hypergraph,
     PartitionedGraph,
     comatching,
+    count_k_mis,
+    count_transversal_mis,
     disjoint_union,
+    hypergraph_count_k_mis,
     has_clique,
     hypergraph_is_maximal_independent,
     is_independent,
@@ -24,7 +28,7 @@ from mislab import (
     total_weight,
     validate_fractional_matching,
 )
-from oracles import naive_has_clique, random_graph
+from naive import naive_has_clique, random_graph, random_mixed_hypergraph
 
 
 def test_graph_validation_rejects_bad_input():
@@ -161,6 +165,68 @@ def test_partitioned_graph_validation():
     for malformed in malformed_parts:
         with pytest.raises(ValueError):
             PartitionedGraph.from_parts(g, malformed)
+
+
+def test_graph_closed_table_matches_definition_and_is_cached():
+    rng = random.Random(2024)
+    for _ in range(120):
+        n = rng.randint(0, 14)
+        g = random_graph(rng, n, rng.random())
+        edges = set(g.edges())
+        want = tuple(
+            sum(1 << u for u in range(n) if u == v or (min(u, v), max(u, v)) in edges)
+            for v in range(n)
+        )
+        closed = g.closed
+        assert closed == want
+        for k in range(min(n, 3) + 1):
+            count_k_mis(g, k)
+        assert g.closed is closed
+        fresh = Graph(g.n, g.adj)
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        assert {g: 1}[fresh] == 1
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g) and back.closed == want
+
+
+def test_hypergraph_rest_masks_match_definition_and_are_cached():
+    rng = random.Random(2025)
+    for _ in range(120):
+        n = rng.randint(0, 10)
+        h = random_mixed_hypergraph(rng, n, rng.randint(0, 12))
+        want = tuple(
+            tuple(sum(1 << u for u in e if u != v) for e in h.edges if v in e)
+            for v in range(n)
+        )
+        rests = h.rest_masks
+        assert rests == want
+        for k in range(min(n, 3) + 1):
+            hypergraph_count_k_mis(h, k)
+        assert h.rest_masks is rests
+        fresh = Hypergraph(h.n, h.edges)
+        assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
+        back = pickle.loads(pickle.dumps(h))
+        assert back == h and back.rest_masks == want
+
+
+def test_part_masks_match_parts_and_are_kept():
+    rng = random.Random(2026)
+    for _ in range(120):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.random())
+        vs = list(range(n))
+        rng.shuffle(vs)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        parts = [vs[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        pg = PartitionedGraph.from_parts(g, parts)
+        masks = pg.part_masks()
+        assert masks == tuple(sum(1 << v for v in p) for p in parts)
+        count_transversal_mis(pg)
+        assert pg.part_masks() is masks
+        fresh = PartitionedGraph(Graph(g.n, g.adj), pg.parts)
+        assert pg == fresh and hash(pg) == hash(fresh) and repr(pg) == repr(fresh)
+        back = pickle.loads(pickle.dumps(pg))
+        assert back == pg and back.part_masks() == masks
 
 
 def test_hypergraph_validation():

@@ -25,7 +25,7 @@ from mislab import (
     verify_theorem,
 )
 from mislab.search import graph_from_edge_mask
-from oracles import random_graph
+from naive import random_graph
 
 
 def brute_canonical(g: Graph) -> bytes:
@@ -228,7 +228,7 @@ def test_scan_matches_per_graph_oracle_at_small_n(monkeypatch):
     from itertools import combinations
 
     import mislab.search as search
-    from oracles import naive_has_clique, naive_mis_profile
+    from naive import naive_has_clique, naive_mis_profile
 
     for n in (4, 5):
         pairs = list(combinations(range(n), 2))
