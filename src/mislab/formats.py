@@ -4,8 +4,9 @@ graph6 follows the standard packing: a size header, then the upper triangle
 read column by column, packed into 6-bit chunks, each chunk offset by 63.
 The header is the single byte n+63 for n <= 62, and ``~`` followed by n in
 three 6-bit chunks (18 bits, big-endian, each offset by 63) for larger n.
-Only the shortest header for n is accepted.  The 8-byte header (``~~`` and
-36 bits, for n > 258047) and any n above ``MAX_VERTICES`` raise ValueError.
+Only the shortest header for n is accepted, and the last byte's padding bits
+must be zero.  The 8-byte header (``~~`` and 36 bits, for n > 258047) and any
+n above ``MAX_VERTICES`` raise ValueError.
 
 Hypergraphs serialize as ``{"n": int, "edges": [[int, ...], ...]}`` and
 fractional matchings as ``{"weights": [{"edge": i, "num": p, "den": q}, ...]}``.
@@ -70,6 +71,8 @@ def graph6_decode(data: bytes | str) -> Graph:
     for b in raw[head:]:
         bits = (bits << 6) | (b - 63)
     pad = (len(raw) - head) * 6 - nbits
+    if bits & ((1 << pad) - 1):
+        raise ValueError("graph6 padding bits set in the last byte")
     bits >>= pad
     rows = [0] * n
     pos = nbits - 1

@@ -6,7 +6,8 @@ of vertex indices and normalize it first.  All objects are immutable after
 construction, so they can be shared freely across worker processes.  They
 cache derived bitmask tables (a graph's closed neighborhoods, a hypergraph's
 per-vertex edge rests, a partition's part masks) on first use; the cache is
-not a field, so it never changes equality, hashing or the stored structure.
+not a field, so it never changes equality, hashing or the stored structure,
+and graphs and hypergraphs pickle without it.
 """
 
 from __future__ import annotations
@@ -50,12 +51,22 @@ def as_mask(n: int, s: VertexSet) -> int:
     return m
 
 
+def _without_caches(obj: object) -> dict:
+    """Pickle state minus the ``cached_property`` tables, which rebuild on use."""
+    cls = type(obj)
+    return {
+        k: v for k, v in vars(obj).items() if not isinstance(getattr(cls, k, None), cached_property)
+    }
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph; ``adj[v]`` is the neighbor bitmask of v."""
 
     n: int
     adj: tuple[int, ...]
+
+    __getstate__ = _without_caches
 
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_VERTICES:
@@ -231,6 +242,8 @@ class Hypergraph:
 
     n: int
     edges: tuple[tuple[int, ...], ...]
+
+    __getstate__ = _without_caches
 
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_VERTICES:

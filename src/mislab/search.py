@@ -1,33 +1,37 @@
 """Exhaustive small-n search for extremal MIS counts, with witnesses.
 
-The graph scan walks every edge bitmask on n labeled vertices in aligned
-chunks of 2^w masks.  Since ``itertools.combinations`` emits the pairs inside
-the last few vertices at the end of the pair order, a chunk's high bits fix
-the induced subgraph there, and its masks are that fixed prefix plus every
-w-bit low pattern.  The per-(n, t, w) clique filter, cached per process,
-sorts each forbidden clique by where its edges fall: wholly in the high bits
-(a chunk whose prefix holds it is skipped before any other work), wholly in
-the low bits (removed once, from a cached ascending array of low patterns),
-or straddling (a constraint on the low bits only in chunks whose prefix
-holds its high part).  The per-subset independence and domination tests
-(cached per (n, sizes)) are settled on the fixed prefix where they can be;
-the rest are mask compares vectorized over the chunk's surviving low
-patterns.
+One scan serves graphs (r=2) and 3-uniform hypergraphs (r=3).  Bit b of an
+edge mask is the b-th r-subset of the n labeled vertices (a slot), and the
+scan walks every edge mask in aligned chunks of 2^w masks.  Since
+``itertools.combinations`` emits the slots inside the last few vertices at
+the end of the slot order, a chunk's high bits fix the induced subgraph
+there, and its masks are that fixed prefix plus every w-bit low pattern.
+The per-(n, r, t, w) clique filter, cached per process, sorts each forbidden
+complete r-graph on t vertices by where its slots fall: wholly in the high
+bits (a chunk whose prefix holds it is skipped before any other work),
+wholly in the low bits (removed once, from a cached ascending array of low
+patterns), or straddling (a constraint on the low bits only in chunks whose
+prefix holds its high part).  A vertex set is an MIS iff the mask misses
+its inside slots and, for each outside vertex, hits the slots joining that
+vertex to r-1 members of the set.  These tests (cached per (n, r, sizes))
+are settled on the fixed prefix where they can be; the rest are mask
+compares vectorized over the chunk's surviving low patterns.
 
-Witness graphs are deduplicated by a canonical form: the lexicographically
-least graph6 string over all relabelings, found by branch-and-bound on
-adjacency columns, with orbit pruning from the automorphisms that equal
-leaves reveal.
+Witnesses are deduplicated up to isomorphism.  A graph's canonical form is
+the lexicographically least graph6 string over all relabelings, found by
+branch-and-bound on adjacency columns, with orbit pruning from the
+automorphisms that equal leaves reveal; a 3-graph's is its least edge-list
+JSON over all relabelings.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations, product
 from math import comb
 
 import numpy as np
@@ -35,8 +39,9 @@ import numpy as np
 from .formats import graph6_encode
 from .graphs import Graph, Hypergraph
 
-GRAPH_SCAN_CAP = 8
-HYPER_SCAN_CAP = 6
+# Edge-mask bits per scan: the 2^28 masks of the n=8 graph census, which
+# also admits 3-graphs up to n=6 (20 bits).
+SCAN_BITS_CAP = 28
 CANONICAL_CAP = 10
 _CHUNK_EDGE_BITS = 16  # chunks of 2^16 masks at n=8; single chunk below that
 
@@ -46,7 +51,7 @@ class SearchSpec:
     """Parameters of one exhaustive extremal computation.
 
     ``k`` None means MIS's of every size; ``t`` None means no clique filter
-    (for r=3 the filter forbids the complete 3-graph on t vertices).
+    (otherwise the filter forbids the complete r-graph on t vertices).
     """
 
     n: int
@@ -86,33 +91,38 @@ class SearchReport:
         }
 
 
-def _pair_masks(n: int) -> list[tuple[int, int]]:
-    # bit b of an edge mask <-> pairs[b]; the pairs among the last vertices
-    # occupy the top bits, which is what chunk skipping relies on.
-    return list(combinations(range(n), 2))
+@lru_cache(maxsize=None)
+def _slots(n: int, r: int) -> dict[tuple[int, ...], int]:
+    """The bit of each r-subset (slot) in an edge mask, in slot order.
+
+    The slots among the last vertices occupy the top bits, which is what
+    chunk skipping relies on.  Shared by every caller: do not modify.
+    """
+    return {s: 1 << b for b, s in enumerate(combinations(range(n), r))}
 
 
-def _subset_pair_masks(n: int, size: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each ``size``-subset of the vertices with the edge mask of its pairs."""
-    bit_of = {p: 1 << b for b, p in enumerate(_pair_masks(n))}
-    for sub in combinations(range(n), size):
-        yield sub, sum(bit_of[p] for p in combinations(sub, 2))
+def _slot_mask(n: int, r: int, vertices: tuple[int, ...] | list[int]) -> int:
+    """The mask of every slot inside the sorted vertex sequence ``vertices``."""
+    bit_of = _slots(n, r)
+    return sum(bit_of[s] for s in combinations(vertices, r))
 
 
 @lru_cache(maxsize=None)
-def _subset_tables(n: int, sizes: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Per candidate MIS: its inside-pairs mask and one cross mask per outside vertex.
+def _subset_tables(
+    n: int, r: int, sizes: tuple[int, ...]
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per candidate MIS: its inside mask and one cross mask per outside vertex.
 
-    A subset is an MIS of the graph with edge mask m iff m misses the inside
-    mask and hits every cross mask (the pairs joining one outside vertex to
-    the subset).
+    A vertex set is an MIS of the r-graph with edge mask m iff m misses the
+    inside mask (the set's slots) and hits every cross mask (the slots that
+    join one outside vertex to r-1 members of the set).
     """
-    bit_of = {p: 1 << b for b, p in enumerate(_pair_masks(n))}
     tables = []
     for size in sizes:
-        for sub, inside in _subset_pair_masks(n, size):
+        for sub in combinations(range(n), size):
+            inside = _slot_mask(n, r, sub)
             crosses = tuple(
-                sum(bit_of[(min(u, v), max(u, v))] for u in sub)
+                _slot_mask(n, r, sorted((*sub, v))) & ~inside
                 for v in range(n)
                 if v not in sub
             )
@@ -120,29 +130,26 @@ def _subset_tables(n: int, sizes: tuple[int, ...]) -> tuple[tuple[int, tuple[int
     return tuple(tables)
 
 
-@lru_cache(maxsize=None)
-def _forbidden_masks(n: int, t: int) -> tuple[int, ...]:
-    return tuple(m for _, m in _subset_pair_masks(n, t))
-
-
 @lru_cache(maxsize=1)
 def _clique_filter(
-    n: int, t: int | None, width: int
+    n: int, r: int, t: int | None, width: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], np.ndarray]:
-    """Split the K_t filter at bit ``width`` for chunks of 2^width masks.
+    """Split the filter against complete r-graphs on t vertices at bit ``width``.
 
-    Returns (killers, straddlers, base).  A killer is a clique lying wholly in
-    the high bits: a chunk whose fixed prefix contains one holds no K_t-free
-    graph.  A straddler is a (high, low) clique split; it constrains the low
-    bits only in chunks whose prefix contains its high part.  ``base`` is
-    every low-bit pattern, ascending, that contains no clique lying wholly in
-    the low bits.  Only the last filter is kept: one scan uses one, and at
-    n=7 the base is a 16 MB array.
+    Returns (killers, straddlers, base) for chunks of 2^width masks.  A
+    killer is a clique lying wholly in the high bits: a chunk whose fixed
+    prefix contains one holds no clique-free graph.  A straddler is a
+    (high, low) clique split; it constrains the low bits only in chunks whose
+    prefix contains its high part.  ``base`` is every low-bit pattern,
+    ascending, that contains no clique lying wholly in the low bits.  Only
+    the last filter is kept: one scan uses one, and at n=7 the base is a
+    16 MB array.
     """
     low_bits = (1 << width) - 1
     killers, straddlers = [], []
     base = np.arange(1 << width, dtype=np.int64)
-    for fm in _forbidden_masks(n, t) if t is not None else ():
+    for sub in combinations(range(n), t) if t is not None else ():
+        fm = _slot_mask(n, r, sub)
         high, low = fm & ~low_bits, fm & low_bits
         if not low:
             killers.append(high)
@@ -155,15 +162,22 @@ def _clique_filter(
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
-    pairs = _pair_masks(n)
-    return Graph.from_edges(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
+    return Graph.from_edges(n, [p for p, bit in _slots(n, 2).items() if mask & bit])
+
+
+def _canonical_witness(n: int, r: int, mask: int) -> str:
+    """The canonical text of a witness: graph6 for r=2, edge-list JSON for r=3."""
+    if r == 2:
+        return canonical_form(graph_from_edge_mask(n, mask)).decode("ascii")
+    edges = tuple(s for s, bit in _slots(n, r).items() if mask & bit)
+    return canonical_hypergraph_json(Hypergraph(n, edges))
 
 
 def _chunk_crosses(crosses: tuple[int, ...], fixed: int, low_bits: int) -> tuple[int, list[int]]:
     """Reduce a subset's cross masks to tests on a chunk's low patterns.
 
     A cross mask meeting the fixed prefix holds in the whole chunk.  Of the
-    rest, the single-edge ones merge into ``need`` (every such edge must be
+    rest, the single-slot ones merge into ``need`` (every such edge must be
     present) and the others are returned in ``either``.  ``need`` is -1 when
     some outside vertex can reach the subset only through absent fixed edges:
     the subset is then an MIS of no graph in the chunk.
@@ -183,7 +197,7 @@ def _chunk_crosses(crosses: tuple[int, ...], fixed: int, low_bits: int) -> tuple
     return need, either
 
 
-def _scan_graph_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
+def _scan_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
     """Scan edge masks in [lo, hi); returns (best, witness masks, scanned, truncated).
 
     [lo, hi) is an aligned block of 2^width masks, so every mask in it is
@@ -191,9 +205,9 @@ def _scan_graph_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
     The work runs on the low patterns only; each test against a mask is
     first settled on the fixed part where it can be.
     """
-    n, k, t, lo, hi, collect, raw_cap = args
+    n, r, k, t, lo, hi, collect, raw_cap = args
     width = (hi - lo).bit_length() - 1
-    killers, straddlers, base = _clique_filter(n, t, width)
+    killers, straddlers, base = _clique_filter(n, r, t, width)
     if any(lo & km == km for km in killers):
         return -1, [], hi - lo, False
     masks = base
@@ -205,9 +219,9 @@ def _scan_graph_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
 
     sizes = (k,) if k is not None else tuple(range(n + 1))
     counts = np.zeros(len(masks), dtype=np.int64)
-    for inside, crosses in _subset_tables(n, sizes):
+    for inside, crosses in _subset_tables(n, r, sizes):
         if inside & lo:
-            continue  # an inside pair is an edge of every graph in the chunk
+            continue  # an inside slot is an edge of every graph in the chunk
         need, either = _chunk_crosses(crosses, lo, (1 << width) - 1)
         if need < 0:
             continue
@@ -228,52 +242,51 @@ def _scan_graph_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
 
 
 def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
-    """Exact maximum MIS count over all (filtered) labeled graphs on n vertices.
+    """Exact maximum MIS count over all (filtered) labeled r-graphs on n vertices.
 
-    Refuses n beyond the scan caps rather than running forever.  Witness
-    graphs, when requested, are deduplicated up to isomorphism and returned
-    as canonical graph6 strings (hypergraph witnesses as canonical JSON).
+    Refuses scans beyond ``SCAN_BITS_CAP`` edge bits rather than running
+    forever.  Witnesses, when requested, are deduplicated up to isomorphism
+    and returned as canonical graph6 strings (3-graphs as canonical JSON).
     """
     start = time.time()
-    if spec.r == 3:
-        report = _exhaustive_hyper(spec)
-        report.elapsed = time.time() - start
-        return report
-    if spec.r != 2:
-        raise ValueError(f"unsupported uniformity r={spec.r}")
-    if spec.n > GRAPH_SCAN_CAP:
-        raise ValueError(f"graph scan capped at n <= {GRAPH_SCAN_CAP}, got {spec.n}")
-    if spec.n < 1:
+    n, k, t, r = spec.n, spec.k, spec.t, spec.r
+    if r not in (2, 3):
+        raise ValueError(f"unsupported uniformity r={r}")
+    if n < 1:
         raise ValueError("need n >= 1")
-    if spec.k is not None and not 0 <= spec.k <= spec.n:
-        raise ValueError(f"k={spec.k} outside 0..{spec.n}")
-    if spec.t is not None and spec.t <= 2:
-        raise ValueError("clique filter needs t > 2")
+    nbits = comb(n, r)
+    if nbits > SCAN_BITS_CAP:
+        top = next(m for m in count(r) if comb(m + 1, r) > SCAN_BITS_CAP)
+        raise ValueError(f"scan capped at n <= {top} for r={r}, got {n}")
+    if k is not None and not 0 <= k <= n:
+        raise ValueError(f"k={k} outside 0..{n}")
+    if t is not None and t <= r:
+        raise ValueError(f"clique filter needs t > {r}")
 
-    nbits = comb(spec.n, 2)
     total = 1 << nbits
     chunk = min(total, 1 << _CHUNK_EDGE_BITS)
     # Collect enough raw witnesses per chunk that ties are not silently lost
     # before canonical deduplication.
     raw_cap = max(4 * spec.witness_cap, 4096) if spec.collect_witnesses else 0
     jobs = [
-        (spec.n, spec.k, spec.t, lo, min(lo + chunk, total), spec.collect_witnesses, raw_cap)
+        (n, r, k, t, lo, min(lo + chunk, total), spec.collect_witnesses, raw_cap)
         for lo in range(0, total, chunk)
     ]
     if workers > 1 and len(jobs) > 1:
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_scan_graph_chunk, jobs)
+            results = pool.map(_scan_chunk, jobs)
     else:
-        results = [_scan_graph_chunk(j) for j in jobs]
+        results = [_scan_chunk(j) for j in jobs]
 
-    best = max(r[0] for r in results)
+    best = max(res[0] for res in results)
     if best < 0:
         raise RuntimeError("clique filter eliminated every graph; bad filter?")
-    scanned = sum(r[2] for r in results)
-    truncated = any(r[3] for r in results)
+    scanned = sum(res[2] for res in results)
+    # A chunk below the best holds no witness, so its raw cap loses none.
+    truncated = any(res[3] for res in results if res[0] == best)
     witnesses: list[str] = []
     if spec.collect_witnesses:
-        seen: set[bytes] = set()
+        seen: set[str] = set()
         for b, masks, _, _ in results:
             if b != best:
                 continue
@@ -281,83 +294,14 @@ def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
                 if len(seen) >= spec.witness_cap:
                     truncated = True
                     break
-                g = graph_from_edge_mask(spec.n, mask)
-                cf = canonical_form(g)
-                if cf not in seen:
-                    seen.add(cf)
-        witnesses = sorted(c.decode("ascii") for c in seen)
+                seen.add(_canonical_witness(n, r, mask))
+        witnesses = sorted(seen)
     return SearchReport(
         spec=spec,
         value=best,
         witnesses=witnesses,
         graphs_scanned=scanned,
         elapsed=time.time() - start,
-        truncated=truncated,
-    )
-
-
-def _exhaustive_hyper(spec: SearchSpec) -> SearchReport:
-    """Scan every 3-uniform hypergraph on n labeled vertices."""
-    n, k, t = spec.n, spec.k, spec.t
-    if n > HYPER_SCAN_CAP:
-        raise ValueError(f"hypergraph scan capped at n <= {HYPER_SCAN_CAP}, got {n}")
-    if n < 3:
-        raise ValueError("need n >= 3 for a 3-uniform scan")
-    if k is None:
-        raise ValueError("hypergraph scan needs a target size k")
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
-    if t is not None and t <= 3:
-        raise ValueError("3-uniform clique filter needs t > 3")
-    triples = list(combinations(range(n), 3))
-    bit_of = {tr: 1 << b for b, tr in enumerate(triples)}
-    total = 1 << len(triples)
-    masks = np.arange(total, dtype=np.int64)
-
-    if t is not None:
-        # Forbid the complete 3-graph on t vertices.
-        for sub in combinations(range(n), t):
-            fm = 0
-            for tr in combinations(sub, 3):
-                fm |= bit_of[tr]
-            fm = np.int64(fm)
-            masks = masks[(masks & fm) != fm]
-
-    counts = np.zeros(len(masks), dtype=np.int64)
-    for sub in combinations(range(n), k):
-        inside = 0
-        for tr in combinations(sub, 3):
-            inside |= bit_of[tr]
-        ok = (masks & np.int64(inside)) == 0
-        subset = set(sub)
-        for w in range(n):
-            if w in subset:
-                continue
-            cm = 0
-            for pair in combinations(sub, 2):
-                cm |= bit_of[tuple(sorted(pair + (w,)))]
-            ok &= (masks & np.int64(cm)) != 0
-            if not ok.any():
-                break
-        counts += ok
-    best = int(counts.max())
-    witnesses: list[str] = []
-    truncated = False
-    if spec.collect_witnesses:
-        seen: set[str] = set()
-        for mask in masks[counts == counts.max()]:
-            if len(seen) >= spec.witness_cap:
-                truncated = True
-                break
-            edges = [tr for b, tr in enumerate(triples) if int(mask) >> b & 1]
-            h = Hypergraph(n, tuple(edges))
-            seen.add(canonical_hypergraph_json(h))
-        witnesses = sorted(seen)
-    return SearchReport(
-        spec=spec,
-        value=best,
-        witnesses=witnesses,
-        graphs_scanned=total,
         truncated=truncated,
     )
 
@@ -513,7 +457,21 @@ class VerifyRow:
         return self.computed == self.formula
 
 
-THEOREM_IDS = ("moon-moser", "hujter-tuza", "nielsen", "m3n2", "mt-n1", "hyper-m432")
+# Theorem id -> (parameter axes, spec builder, closed form).  Rows run over
+# the product of the axes' ranges, first axis outermost; the builder and the
+# closed form take the parameters in axis order, and the builder returns None
+# for parameters outside the theorem's range (their rows are skipped).
+THEOREMS: dict[str, tuple[tuple[str, ...], Callable, Callable[..., int]]] = {
+    "moon-moser": (("n",), lambda n: SearchSpec(n), moon_moser_value),
+    "hujter-tuza": (("n",), lambda n: SearchSpec(n, t=3), hujter_tuza_value),
+    "nielsen": (
+        ("n", "k"), lambda n, k: SearchSpec(n, k=k) if 2 <= k < n else None, nielsen_value
+    ),
+    "m3n2": (("n",), lambda n: SearchSpec(n, k=2, t=3), m3n2_value),
+    "mt-n1": (("t", "n"), lambda t, n: SearchSpec(n, k=1, t=t), mt_n1_value),
+    "hyper-m432": (("n",), lambda n: SearchSpec(n, k=2, t=4, r=3), hyper_m432_value),
+}
+THEOREM_IDS = tuple(THEOREMS)
 
 
 def verify_theorem(
@@ -528,61 +486,19 @@ def verify_theorem(
     A mismatching row means a bug in this package, not in the closed form;
     callers flag it rather than suppress it.
     """
-    rows: list[VerifyRow] = []
-
-    def run(spec: SearchSpec) -> int:
-        return exhaustive_m(spec, workers=workers).value
-
-    if theorem == "moon-moser":
-        for n in n_range:
-            rows.append(VerifyRow((("n", n),), run(SearchSpec(n)), moon_moser_value(n)))
-    elif theorem == "hujter-tuza":
-        for n in n_range:
-            rows.append(
-                VerifyRow((("n", n),), run(SearchSpec(n, t=3)), hujter_tuza_value(n))
-            )
-    elif theorem == "nielsen":
-        if k_range is None:
-            raise ValueError("nielsen needs a k range")
-        for n in n_range:
-            for k in k_range:
-                if not 2 <= k < n:
-                    continue
-                rows.append(
-                    VerifyRow(
-                        (("n", n), ("k", k)),
-                        run(SearchSpec(n, k=k)),
-                        nielsen_value(n, k),
-                    )
-                )
-    elif theorem == "m3n2":
-        for n in n_range:
-            rows.append(
-                VerifyRow((("n", n),), run(SearchSpec(n, k=2, t=3)), m3n2_value(n))
-            )
-    elif theorem == "mt-n1":
-        if t_range is None:
-            raise ValueError("mt-n1 needs a t range")
-        for t in t_range:
-            for n in n_range:
-                rows.append(
-                    VerifyRow(
-                        (("t", t), ("n", n)),
-                        run(SearchSpec(n, k=1, t=t)),
-                        mt_n1_value(t, n),
-                    )
-                )
-    elif theorem == "hyper-m432":
-        for n in n_range:
-            rows.append(
-                VerifyRow(
-                    (("n", n),),
-                    run(SearchSpec(n, k=2, t=4, r=3)),
-                    hyper_m432_value(n),
-                )
-            )
-    else:
+    if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem!r}; one of {THEOREM_IDS}")
+    axes, build, formula = THEOREMS[theorem]
+    ranges = {"n": n_range, "k": k_range, "t": t_range}
+    for axis in axes:
+        if ranges[axis] is None:
+            raise ValueError(f"{theorem} needs a {axis} range")
+    rows: list[VerifyRow] = []
+    for values in product(*(ranges[axis] for axis in axes)):
+        spec = build(*values)
+        if spec is not None:
+            computed = exhaustive_m(spec, workers=workers).value
+            rows.append(VerifyRow(tuple(zip(axes, values)), computed, formula(*values)))
     return rows
 
 

@@ -288,6 +288,17 @@ def test_search_hypergraph_mode(capsys):
     assert json.loads(out)["result"]["value"] == 4
 
 
+def test_search_hypergraph_all_sizes_and_cap(capsys):
+    code, out, _ = run(
+        ["search", "--n", "5", "--t", "4", "--r", "3", "--threads", "1", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["value"] == 7
+    code, _, err = run(["search", "--n", "7", "--r", "3", "--threads", "1"], capsys)
+    assert code == 2 and "capped" in err
+
+
 def test_search_csv_format(capsys):
     code, out, _ = run(
         ["search", "--n", "5", "--k", "2", "--t", "3", "--threads", "1",

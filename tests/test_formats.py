@@ -99,10 +99,24 @@ def test_decode_rejects_malformed():
     assert graph6_decode(b">>graph6<<A_") == Graph.complete(2)
 
 
+def test_decode_rejects_set_padding_bits():
+    # K2 packs one bit into a byte; "`" is "_" with a padding bit set.
+    with pytest.raises(ValueError, match="padding"):
+        graph6_decode(b"A`")
+    assert graph6_decode(b"A_") == Graph.complete(2)
+
+
 def test_decode_fuzz_never_crashes_outside_value_error():
     rng = random.Random(1234)
-    for _ in range(500):
-        blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 12)))
+    blobs = [bytes(rng.randrange(256) for _ in range(rng.randrange(0, 12))) for _ in range(500)]
+    # Random bytes almost never get past the length check, so add encodings
+    # of seeded graphs with padding bits set in the last byte.
+    for _ in range(200):
+        n = rng.choice([m for m in range(2, 20) if m * (m - 1) // 2 % 6])
+        blob = bytearray(graph6_encode(random_graph(rng, n, rng.random())))
+        blob[-1] = (blob[-1] - 63 | rng.randrange(1, 1 << (-(n * (n - 1) // 2) % 6))) + 63
+        blobs.append(bytes(blob))
+    for blob in blobs:
         try:
             g = graph6_decode(blob)
         except ValueError:

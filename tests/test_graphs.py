@@ -209,6 +209,32 @@ def test_hypergraph_rest_masks_match_definition_and_are_cached():
         assert back == h and back.rest_masks == want
 
 
+def test_pickle_drops_cached_tables():
+    # A count fills the cached tables; they must not travel in the pickle.
+    rng = random.Random(2027)
+    graphs = [Graph.cycle(12)]
+    graphs += [random_graph(rng, rng.randint(1, 12), rng.random()) for _ in range(30)]
+    for g in graphs:
+        fresh = pickle.dumps(Graph(g.n, g.adj))
+        counts = [count_k_mis(g, k) for k in range(g.n + 1)]
+        assert "closed" in vars(g)
+        blob = pickle.dumps(g)
+        assert len(blob) == len(fresh) and "closed" not in vars(pickle.loads(blob))
+        back = pickle.loads(blob)
+        assert back == g and hash(back) == hash(g)
+        assert [count_k_mis(back, k) for k in range(g.n + 1)] == counts
+    for _ in range(30):
+        h = random_mixed_hypergraph(rng, rng.randint(0, 10), rng.randint(0, 12))
+        fresh = pickle.dumps(Hypergraph(h.n, h.edges))
+        counts = [hypergraph_count_k_mis(h, k) for k in range(min(h.n, 3) + 1)]
+        assert "rest_masks" in vars(h)
+        blob = pickle.dumps(h)
+        assert len(blob) == len(fresh) and "rest_masks" not in vars(pickle.loads(blob))
+        back = pickle.loads(blob)
+        assert back == h and hash(back) == hash(h)
+        assert [hypergraph_count_k_mis(back, k) for k in range(min(h.n, 3) + 1)] == counts
+
+
 def test_part_masks_match_parts_and_are_kept():
     rng = random.Random(2026)
     for _ in range(120):

@@ -9,6 +9,7 @@ import pytest
 
 from mislab import (
     Graph,
+    Hypergraph,
     SearchSpec,
     canonical_form,
     c4_leaves_graph,
@@ -164,6 +165,19 @@ def test_exhaustive_caps_and_validation():
         exhaustive_m(SearchSpec(6, r=4))
     with pytest.raises(ValueError):
         exhaustive_m(SearchSpec(4, k=9))
+    # One validation block serves both uniformities.
+    for r, top in ((2, 8), (3, 6)):
+        with pytest.raises(ValueError, match=f"capped at n <= {top}"):
+            exhaustive_m(SearchSpec(top + 1, r=r))
+        with pytest.raises(ValueError, match=f"needs t > {r}"):
+            exhaustive_m(SearchSpec(5, t=r, r=r))
+        with pytest.raises(ValueError, match="need n >= 1"):
+            exhaustive_m(SearchSpec(0, r=r))
+        with pytest.raises(ValueError, match="outside"):
+            exhaustive_m(SearchSpec(4, k=-1, r=r))
+    # Below three vertices a 3-graph has no edge: the whole set is the one MIS.
+    assert exhaustive_m(SearchSpec(2, r=3)).value == 1
+    assert exhaustive_m(SearchSpec(2, k=1, r=3)).value == 0
 
 
 def test_exhaustive_workers_agree():
@@ -172,6 +186,10 @@ def test_exhaustive_workers_agree():
     assert lone.value == duo.value
     assert lone.witnesses == duo.witnesses
     assert lone.graphs_scanned == duo.graphs_scanned
+    spec = SearchSpec(6, k=2, t=4, r=3, collect_witnesses=True)
+    lone = exhaustive_m(spec, workers=1)
+    assert lone.value == 5 and lone.witnesses
+    assert exhaustive_m(spec, workers=2).to_json() == lone.to_json()
 
 
 def test_hypergraph_scan():
@@ -206,6 +224,33 @@ def test_verify_rows_all_match():
     rows = verify_theorem("nielsen", range(4, 7), k_range=range(2, 4))
     assert rows and all(r.match for r in rows)
     with pytest.raises(ValueError):
+        verify_theorem("nope", range(2, 4))
+
+
+def test_truncation_counts_only_chunks_that_reach_the_best():
+    # Only the edgeless graph has the whole vertex set as an MIS.  Every other
+    # chunk ties far more masks than its raw cap at a lower value, and
+    # dropping those loses no witness.
+    for n, r, empty in ((7, 2, "F????"), (6, 3, '{"n":6,"edges":[]}')):
+        rep = exhaustive_m(SearchSpec(n, k=n, r=r, collect_witnesses=True))
+        assert (rep.value, rep.witnesses, rep.truncated) == (1, [empty], False)
+
+
+def test_verify_row_order_and_range_errors():
+    from mislab.search import THEOREM_IDS
+
+    assert THEOREM_IDS == ("moon-moser", "hujter-tuza", "nielsen", "m3n2", "mt-n1", "hyper-m432")
+    rows = verify_theorem("mt-n1", range(2, 4), t_range=range(3, 5))
+    assert [r.params for r in rows] == [(("t", t), ("n", n)) for t in (3, 4) for n in (2, 3)]
+    rows = verify_theorem("nielsen", range(2, 5), k_range=range(1, 6))
+    assert [r.params for r in rows] == [
+        (("n", 3), ("k", 2)), (("n", 4), ("k", 2)), (("n", 4), ("k", 3))
+    ]
+    with pytest.raises(ValueError, match="^nielsen needs a k range$"):
+        verify_theorem("nielsen", range(2, 5))
+    with pytest.raises(ValueError, match="^mt-n1 needs a t range$"):
+        verify_theorem("mt-n1", range(2, 5), k_range=range(2, 3))
+    with pytest.raises(ValueError, match="^unknown theorem id 'nope'; one of"):
         verify_theorem("nope", range(2, 4))
 
 
@@ -246,6 +291,39 @@ def test_scan_matches_per_graph_oracle_at_small_n(monkeypatch):
                     best = max(best, value)
                 for cap in (64, 1):
                     spec = SearchSpec(n, k=k, t=t, collect_witnesses=True, witness_cap=cap)
+                    whole = exhaustive_m(spec).to_json()
+                    assert whole["value"] == best, (n, t, k, whole["value"], best)
+                    for bits in (3, 5):
+                        monkeypatch.setattr(search, "_CHUNK_EDGE_BITS", bits)
+                        assert exhaustive_m(spec).to_json() == whole, (n, t, k, cap, bits)
+                        monkeypatch.undo()
+
+
+def test_3graph_scan_matches_per_graph_oracle_at_small_n(monkeypatch):
+    # The same re-derivation for r=3: naive subset-scan MIS counts over every
+    # labeled 3-graph, and the same reports at small chunk widths.
+    from itertools import combinations
+
+    import mislab.search as search
+    from naive import hyper_contains_complete, naive_hyper_count_k_mis
+
+    for n in (4, 5):
+        triples = list(combinations(range(n), 3))
+        hypergraphs = [
+            Hypergraph(n, tuple(e for b, e in enumerate(triples) if mask >> b & 1))
+            for mask in range(1 << len(triples))
+        ]
+        profiles = [[naive_hyper_count_k_mis(h, k) for k in range(n + 1)] for h in hypergraphs]
+        for t in (None, 4, 5):
+            kept = [
+                prof
+                for h, prof in zip(hypergraphs, profiles)
+                if t is None or not hyper_contains_complete(h, t, 3)
+            ]
+            for k in [None, *range(n + 1)]:
+                best = max(sum(prof) if k is None else prof[k] for prof in kept)
+                for cap in (64, 1):
+                    spec = SearchSpec(n, k=k, t=t, r=3, collect_witnesses=True, witness_cap=cap)
                     whole = exhaustive_m(spec).to_json()
                     assert whole["value"] == best, (n, t, k, whole["value"], best)
                     for bits in (3, 5):
