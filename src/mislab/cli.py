@@ -98,11 +98,11 @@ def _report_json(args: argparse.Namespace, command: str, result: dict) -> str:
 
 def _parse_range(text: str) -> range:
     """Parse '4..7' or a single integer into an inclusive range."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+    lo, sep, hi = text.partition("..")
+    lo, hi = int(lo), int(hi if sep else lo)
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 # construct ----------------------------------------------------------------
@@ -306,7 +306,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
         _emit(_report_json(args, "verify", result), args.out)
     else:
-        keys = [k for k, _ in rows[0].params] if rows else []
+        keys = [k for k, _ in rows[0].params]
         lines = [",".join(keys + ["computed", "formula", "match"])]
         for r in rows:
             vals = [str(v) for _, v in r.params]

@@ -15,7 +15,10 @@ prefix holds its high part).  A vertex set is an MIS iff the mask misses
 its inside slots and, for each outside vertex, hits the slots joining that
 vertex to r-1 members of the set.  These tests (cached per (n, r, sizes))
 are settled on the fixed prefix where they can be; the rest are mask
-compares vectorized over the chunk's surviving low patterns.
+compares vectorized over the chunk's surviving low patterns, kept in the
+narrowest unsigned type (ints meeting them are cut to the low bits), with
+uint8 counts: an r-graph's MIS's form an antichain, so by Sperner's theorem
+there are at most C(n, n // 2).  numpy is imported only inside the scan.
 
 Witnesses are deduplicated up to isomorphism.  A graph's canonical form is
 the lexicographically least graph6 string over all relabelings, found by
@@ -26,15 +29,12 @@ JSON over all relabelings.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, count, permutations, product
 from math import comb
-
-import numpy as np
 
 from .formats import graph6_encode
 from .graphs import Graph, Hypergraph
@@ -142,12 +142,13 @@ def _clique_filter(
     (high, low) clique split; it constrains the low bits only in chunks whose
     prefix contains its high part.  ``base`` is every low-bit pattern,
     ascending, that contains no clique lying wholly in the low bits.  Only
-    the last filter is kept: one scan uses one, and at n=7 the base is a
-    16 MB array.
+    the last filter is kept: one scan uses one.  Its dtype is the narrowest
+    unsigned type that holds a low pattern: uint16 at the real width.
     """
+    import numpy as np
     low_bits = (1 << width) - 1
     killers, straddlers = [], []
-    base = np.arange(1 << width, dtype=np.int64)
+    base = np.arange(1 << width, dtype=np.min_scalar_type(low_bits))
     for sub in combinations(range(n), t) if t is not None else ():
         fm = _slot_mask(n, r, sub)
         high, low = fm & ~low_bits, fm & low_bits
@@ -205,8 +206,10 @@ def _scan_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
     The work runs on the low patterns only; each test against a mask is
     first settled on the fixed part where it can be.
     """
+    import numpy as np
     n, r, k, t, lo, hi, collect, raw_cap = args
     width = (hi - lo).bit_length() - 1
+    low_bits = (1 << width) - 1
     killers, straddlers, base = _clique_filter(n, r, t, width)
     if any(lo & km == km for km in killers):
         return -1, [], hi - lo, False
@@ -218,14 +221,16 @@ def _scan_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
         return -1, [], hi - lo, False
 
     sizes = (k,) if k is not None else tuple(range(n + 1))
-    counts = np.zeros(len(masks), dtype=np.int64)
+    # The MIS's of an r-graph form an antichain, so by Sperner's theorem a
+    # count is at most C(n, n // 2): 70 at n <= 8, 20 for 3-graphs at n <= 6.
+    counts = np.zeros(len(masks), dtype=np.uint8)
     for inside, crosses in _subset_tables(n, r, sizes):
         if inside & lo:
             continue  # an inside slot is an edge of every graph in the chunk
-        need, either = _chunk_crosses(crosses, lo, (1 << width) - 1)
+        need, either = _chunk_crosses(crosses, lo, low_bits)
         if need < 0:
             continue
-        ok = (masks & (inside | need)) == need
+        ok = (masks & ((inside & low_bits) | need)) == need
         for cm in either:
             ok &= (masks & cm) != 0
         counts += ok
@@ -262,6 +267,8 @@ def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
         raise ValueError(f"k={k} outside 0..{n}")
     if t is not None and t <= r:
         raise ValueError(f"clique filter needs t > {r}")
+    if spec.collect_witnesses and spec.witness_cap < 1:
+        raise ValueError(f"witness cap must be >= 1, got {spec.witness_cap}")
 
     total = 1 << nbits
     chunk = min(total, 1 << _CHUNK_EDGE_BITS)
@@ -273,6 +280,7 @@ def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
         for lo in range(0, total, chunk)
     ]
     if workers > 1 and len(jobs) > 1:
+        import multiprocessing
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_scan_chunk, jobs)
     else:
@@ -499,6 +507,8 @@ def verify_theorem(
         if spec is not None:
             computed = exhaustive_m(spec, workers=workers).value
             rows.append(VerifyRow(tuple(zip(axes, values)), computed, formula(*values)))
+    if not rows:
+        raise ValueError(f"no {theorem} row in the given ranges")
     return rows
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -344,3 +346,47 @@ def test_thread_default_env_fallback(monkeypatch):
     assert _default_threads() >= 1
     monkeypatch.delenv("MIS_LAB_THREADS")
     assert _default_threads() >= 1
+
+
+def test_import_and_count_do_not_load_numpy(tmp_path):
+    # numpy serves only the exhaustive scan; importing the package and
+    # counting a graph never load it.
+    import mislab
+
+    path = tmp_path / "g.g6"
+    path.write_bytes(graph6_encode(Graph.cycle(7)) + b"\n")
+    code = (
+        "import sys, mislab\n"
+        "from mislab import cli\n"
+        f"assert cli.main(['count', '--graph', {str(path)!r}, '--k', '3']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+    )
+    src = os.path.dirname(os.path.dirname(mislab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "7\n"
+
+
+def test_inputs_that_select_nothing_exit_2(capsys):
+    cases = [
+        (["verify", "--theorem", "moon-moser", "--n", "9..3"], "empty range '9..3'"),
+        (["verify", "--theorem", "nielsen", "--n", "3", "--k", "9..2"], "empty range '9..2'"),
+        (["verify", "--theorem", "nielsen", "--n", "3", "--k", "3..6"],
+         "no nielsen row in the given ranges"),
+        (["search", "--n", "4", "--witnesses", "--witness-cap", "-1"],
+         "witness cap must be >= 1, got -1"),
+        (["search", "--n", "4", "--witnesses", "--witness-cap", "0"],
+         "witness cap must be >= 1, got 0"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(argv + ["--threads", "1"], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+    # A one-value range and a cap left unused by a witness-free search still run.
+    code, out, _ = run(["verify", "--theorem", "moon-moser", "--n", "4..4", "--threads", "1"],
+                       capsys)
+    assert (code, out) == (0, "n,computed,formula,match\n4,4,4,1\n")
+    code, _, _ = run(["search", "--n", "4", "--witness-cap", "0", "--threads", "1"], capsys)
+    assert code == 0

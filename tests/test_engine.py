@@ -407,3 +407,21 @@ def test_sum_over_k_equals_all_on_triangle_free():
     for _ in range(40):
         g = random_triangle_free(rng, rng.randint(2, 12), 0.4)
         assert sum(count_k_mis(g, k) for k in range(g.n + 1)) == count_all_mis(g)
+
+
+def test_counts_match_networkx_on_random_graphs_up_to_n40():
+    # The same oracle on larger graphs across densities: sparse ones carry
+    # thousands of MIS's, dense ones many small ones.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(314159)
+    for n in range(10, 41, 6):
+        for p in (0.1, 0.25, 0.5, 0.75, 0.9):
+            g = random_graph(rng, n, p)
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            by_size = [0] * (n + 1)
+            for clique in nx.find_cliques(nx.complement(h)):
+                by_size[len(clique)] += 1
+            assert count_all_mis(g) == sum(by_size), (n, p)
+            assert [count_k_mis(g, k) for k in range(n + 1)] == by_size, (n, p)

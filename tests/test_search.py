@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import permutations
 
@@ -358,3 +359,86 @@ def test_monotonicity_violations_are_exactly_the_known_ones():
                     flagged.add((t, k, n))
                 prev = value
     assert flagged == {(3, 1, 3), (4, 1, 4), (3, 2, 6)}
+
+
+def _naive_chunk(n, k, t, lo, hi):
+    """The best count over the masks in [lo, hi) that pass the clique filter,
+    and the masks reaching it, ascending, by a per-graph subset scan."""
+    from itertools import combinations
+
+    from naive import naive_has_clique, naive_mis_list, naive_mis_profile
+
+    pairs = list(combinations(range(n), 2))
+    best, hits = -1, []
+    for mask in range(lo, hi):
+        g = Graph.from_edges(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
+        if t is not None and naive_has_clique(g, t):
+            continue
+        value = len(naive_mis_list(g, k)) if k is not None else sum(naive_mis_profile(g).values())
+        if value > best:
+            best, hits = value, []
+        if value == best:
+            hits.append(mask)
+    return best, hits
+
+
+def test_narrow_scan_kernel_matches_naive_counts_on_high_chunks(monkeypatch):
+    # Chunks whose fixed prefix sets high bits, scanned at width 8, where the
+    # low patterns are uint8: every inside mask reaching past the low bits
+    # must be cut to them, and every low bit, the top one included, counts.
+    import mislab.search as search
+
+    monkeypatch.setattr(search, "_CHUNK_EDGE_BITS", 8)
+    n, width = 7, search._CHUNK_EDGE_BITS
+    top = 1 << 21
+    rng = random.Random(8)
+    los = [rng.randrange(1, top >> width) << width for _ in range(3)]
+    los += [top >> 1, top - (1 << width)]
+    for lo in los:
+        hi = lo + (1 << width)
+        for t in (None, 3):
+            for k in (2, None):
+                best, hits = _naive_chunk(n, k, t, lo, hi)
+                got = search._scan_chunk((n, 2, k, t, lo, hi, True, 1 << width))
+                assert got == (best, hits, 1 << width, False), (lo, t, k)
+                got = search._scan_chunk((n, 2, k, t, lo, hi, True, 3))
+                assert got == (best, hits[:3], 1 << width, len(hits) > 3), (lo, t, k)
+
+
+def test_width_16_chunk_matches_naive_counts():
+    # One chunk at the real width, where the low patterns are uint16.
+    import mislab.search as search
+
+    lo, hi = 0b01101 << 16, 0b01110 << 16
+    best, hits = _naive_chunk(7, 2, 3, lo, hi)
+    assert best == 3 and hits
+    assert search._scan_chunk((7, 2, 2, 3, lo, hi, True, 1 << 16)) == (best, hits, 1 << 16, False)
+
+
+def test_count_dtype_holds_the_sperner_bound(monkeypatch):
+    # The MIS's of an r-graph form an antichain, so by Sperner's theorem no
+    # count exceeds C(n, n // 2); the kernel's count array must hold that for
+    # every n the scan admits.
+    from itertools import count
+
+    import numpy as np
+
+    import mislab.search as search
+
+    dtypes = []
+    zeros = np.zeros
+
+    def spy(shape, dtype):
+        dtypes.append(np.dtype(dtype))
+        return zeros(shape, dtype)
+
+    monkeypatch.setattr(np, "zeros", spy)
+    for r in (2, 3):
+        for n in count(1):
+            bits = math.comb(n, r)
+            if bits > search.SCAN_BITS_CAP:
+                break
+            width = min(bits, 8)
+            search._scan_chunk((n, r, None, None, 0, 1 << width, False, 0))
+            assert np.iinfo(dtypes[-1]).max >= math.comb(n, n // 2), (r, n, dtypes[-1])
+    assert len(dtypes) == 8 + 6
