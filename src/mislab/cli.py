@@ -107,81 +107,54 @@ def _parse_range(text: str) -> range:
 
 # construct ----------------------------------------------------------------
 
-CONSTRUCT_NAMES = (
-    "comatching",
-    "gadget",
-    "tight-cycle",
-    "blowup",
-    "theorem-a",
-    "theorem-b",
-    "hyper",
-    "star-hyper",
-    "dominating",
-    "c4-leaves",
-)
+def _gadget(args: argparse.Namespace):
+    if args.packing == "rs":
+        return gadget(rs_packing(args.m))
+    _require(args, "r")
+    return gadget(trivial_packing(args.r, args.m))
 
 
-def _build_construction(args: argparse.Namespace):
-    """Returns (object, kind) with kind 'graph'|'partitioned'|'hypergraph',
-    plus the clique size whose absence the construction promises (or None)."""
-    name = args.name
-    need = lambda *keys: _require(args, name, *keys)
-    if name == "comatching":
-        need("n")
-        return comatching(args.n), "partitioned", 3
-    if name == "gadget":
-        need("m")
-        packing = args.packing or "trivial"
-        if packing == "rs":
-            return gadget(rs_packing(args.m)), "partitioned", None
-        need("r")
-        return gadget(trivial_packing(args.r, args.m)), "partitioned", None
-    if name == "tight-cycle":
-        need("r", "k")
-        return tight_cycle(args.r, args.k), "hypergraph", None
-    if name == "blowup":
-        need("spec")
-        with open(args.spec) as fh:
-            spec = BlowupSpec.from_json(json.load(fh))
-        return blowup(spec), "partitioned", None
-    if name == "theorem-a":
-        need("k", "t", "m")
-        return disjoint_gadget_union(args.k, args.t, args.m), "graph", args.t
-    if name == "theorem-b":
-        need("k", "t", "m")
-        return tight_cycle_blowup(args.k, args.t, args.m), "partitioned", args.t
-    if name == "hyper":
-        need("r", "k", "n")
-        return window_hypergraph(args.r, args.k, args.n), "hypergraph", None
-    if name == "star-hyper":
-        need("n")
-        return star_hypergraph(args.n), "hypergraph", None
-    if name == "dominating":
-        need("t", "n")
-        return dominating_clique_graph(args.t, args.n), "graph", args.t
-    if name == "c4-leaves":
-        return c4_leaves_graph(), "graph", 3
-    raise CliError(f"unknown construction {name!r}")
+def _blowup(args: argparse.Namespace):
+    with open(args.spec) as fh:
+        return blowup(BlowupSpec.from_json(json.load(fh)))
 
 
-def _require(args: argparse.Namespace, name: str, *keys: str) -> None:
-    missing = [k for k in keys if getattr(args, k, None) is None]
+# Construction id -> (flags it needs, builder from the parsed args, clique size
+# it promises to avoid: an int, the name of the flag holding it, or None).
+CONSTRUCTIONS = {
+    "comatching": (("n",), lambda a: comatching(a.n), 3),
+    "gadget": (("m",), _gadget, None),
+    "tight-cycle": (("r", "k"), lambda a: tight_cycle(a.r, a.k), None),
+    "blowup": (("spec",), _blowup, None),
+    "theorem-a": (("k", "t", "m"), lambda a: disjoint_gadget_union(a.k, a.t, a.m), "t"),
+    "theorem-b": (("k", "t", "m"), lambda a: tight_cycle_blowup(a.k, a.t, a.m), "t"),
+    "hyper": (("r", "k", "n"), lambda a: window_hypergraph(a.r, a.k, a.n), None),
+    "star-hyper": (("n",), lambda a: star_hypergraph(a.n), None),
+    "dominating": (("t", "n"), lambda a: dominating_clique_graph(a.t, a.n), "t"),
+    "c4-leaves": ((), lambda a: c4_leaves_graph(), 3),
+}
+
+
+def _require(args: argparse.Namespace, *keys: str) -> None:
+    missing = [k for k in keys if getattr(args, k) is None]
     if missing:
-        raise CliError(f"construct {name} needs --{' --'.join(missing)}")
+        raise CliError(f"construct {args.name} needs --{' --'.join(missing)}")
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    obj, kind, forbid = _build_construction(args)
-    if kind == "hypergraph":
-        h: Hypergraph = obj
-        summary = f"hypergraph n={h.n} edges={len(h.edges)}"
-        payload = json.dumps(hypergraph_to_json(h), sort_keys=True) + "\n"
-        clique_ok = None
+    flags, build, forbid = CONSTRUCTIONS[args.name]
+    _require(args, *flags)
+    obj = build(args)
+    if isinstance(forbid, str):
+        forbid = getattr(args, forbid)
+    clique_ok = None
+    if isinstance(obj, Hypergraph):
+        summary = f"hypergraph n={obj.n} edges={len(obj.edges)}"
+        payload = json.dumps(hypergraph_to_json(obj), sort_keys=True) + "\n"
     else:
-        g: Graph = obj.graph if kind == "partitioned" else obj
+        g: Graph = getattr(obj, "graph", obj)
         summary = f"graph n={g.n} edges={g.edge_count()}"
         payload = graph6_encode(g).decode("ascii") + "\n"
-        clique_ok = None
         if forbid is not None:
             clique_ok = not has_clique(g, forbid)
             summary += f" K{forbid}-free={clique_ok}"
@@ -334,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker count (default: MIS_LAB_THREADS or cpu count)")
 
     pc = sub.add_parser("construct", help="emit one of the library constructions")
-    pc.add_argument("name", choices=CONSTRUCT_NAMES)
+    pc.add_argument("name", choices=tuple(CONSTRUCTIONS))
     pc.add_argument("--n", type=int)
     pc.add_argument("--k", type=int)
     pc.add_argument("--t", type=int)

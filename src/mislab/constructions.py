@@ -22,14 +22,24 @@ from .graphs import (
     Graph,
     Hypergraph,
     PartitionedGraph,
+    check_vertex_count,
     cliques_of_size,
     disjoint_union,
     iter_bits,
     partite_complement,
     validate_fractional_matching,
+    vertex_mask,
 )
 
-GADGET_KINDS = ("comatching", "trivial", "rs", "auto")
+# Gadget kind -> (the edge size it needs, or None for any; builder from edge
+# size r and gadget size m).  The builders look the generators up when they
+# run, so a wrapper installed on the module attribute sees every call.
+GADGETS = {
+    "comatching": (2, lambda r, m: comatching(2 * m)),
+    "trivial": (None, lambda r, m: gadget(trivial_packing(r, m))),
+    "rs": (3, lambda r, m: gadget(rs_packing(m))),
+}
+GADGET_KINDS = (*GADGETS, "auto")
 
 
 def comatching(n: int) -> PartitionedGraph:
@@ -41,6 +51,7 @@ def comatching(n: int) -> PartitionedGraph:
     """
     if n < 2:
         raise ValueError("comatching needs n >= 2")
+    check_vertex_count(n)
     a = n // 2
     edges = [
         (i, a + j) for i in range(a) for j in range(n - a) if i != j
@@ -73,15 +84,12 @@ class PackingGraph:
             for v in iter_bits(mask):
                 if g.adj[v] & mask:
                     raise ValueError("intra-part edge in packing graph")
-        part_of = {}
-        for i, mask in enumerate(masks):
-            for v in iter_bits(mask):
-                part_of[v] = i
         seen_sub: set[tuple[int, ...]] = set()
         for clique in self.cliques:
             if len(clique) != r:
                 raise ValueError(f"clique {clique} is not an r-set")
-            if sorted({part_of[v] for v in clique}) != list(range(r)):
+            cm = vertex_mask(clique)
+            if any((cm & mask).bit_count() != 1 for mask in masks):
                 raise ValueError(f"clique {clique} is not transversal")
             for u, v in combinations(clique, 2):
                 if not g.has_edge(u, v):
@@ -104,6 +112,7 @@ def trivial_packing(r: int, m: int) -> PackingGraph:
     """m vertex-disjoint transversal r-cliques across r parts of size m."""
     if r < 2 or m < 1:
         raise ValueError("need r >= 2 and m >= 1")
+    check_vertex_count(r * m)
     edges = []
     cliques = []
     for j in range(m):
@@ -181,6 +190,7 @@ def rs_packing(m: int) -> PackingGraph:
     """
     if m < 2:
         raise ValueError("need m >= 2")
+    check_vertex_count(6 * m)
     offsets = sorted(behrend_set(m))
     edges = []
     cliques = []
@@ -211,6 +221,7 @@ def tight_cycle(r: int, k: int) -> Hypergraph:
     r-windows (indices mod k)."""
     if r < 2 or k < r:
         raise ValueError("need k >= r >= 2")
+    check_vertex_count(k)
     edges = []
     seen = set()
     for i in range(k):
@@ -305,45 +316,32 @@ def blowup_spec_from_matching(
 def _edge_gadget(r: int, size: int, kind: str) -> PartitionedGraph:
     if kind == "auto":
         kind = "comatching" if r == 2 else "trivial"
-    if kind == "comatching":
-        if r != 2:
-            raise ValueError("comatching gadgets need 2-uniform edges")
-        return comatching(2 * size)
-    if kind == "trivial":
-        return gadget(trivial_packing(r, size))
-    if kind == "rs":
-        if r != 3:
-            raise ValueError("rs gadgets need 3-uniform edges")
-        return gadget(rs_packing(size))
-    raise ValueError(f"unknown gadget kind {kind!r}")
+    need, build = GADGETS[kind]
+    if need not in (None, r):
+        raise ValueError(f"{kind} gadgets need {need}-uniform edges")
+    return build(r, size)
 
 
 @dataclass(frozen=True)
-class Blowup:
-    """Blowup graph along with enough structure to address its MIS family.
+class Blowup(PartitionedGraph):
+    """The blowup graph as a PartitionedGraph, one part per template vertex,
+    plus enough structure to address its MIS family.
 
-    Duck-types as a PartitionedGraph through ``graph``/``parts``.  Part x
-    holds one vertex per tuple of gadget-part choices over the edges at x,
-    in lexicographic order (first incident edge most significant), so the
-    layout is reproducible.  ``gadget_mis[e]`` lists the transversal MIS's
-    of edge e's gadget as per-part local indices.
+    Part x holds one vertex per tuple of gadget-part choices over the edges
+    at x, in lexicographic order (first incident edge most significant), so
+    the layout is reproducible.  ``gadget_mis[e]`` lists the transversal
+    MIS's of edge e's gadget as per-part local indices.
     """
 
-    pg: PartitionedGraph
     template: Hypergraph
-    sizes: tuple[int, ...]
-    gadget_kind: str
     gadget_mis: tuple[tuple[tuple[int, ...], ...], ...]
     part_offsets: tuple[int, ...]
     part_dims: tuple[tuple[int, ...], ...]
 
     @property
-    def graph(self) -> Graph:
-        return self.pg.graph
-
-    @property
-    def parts(self) -> tuple[tuple[int, ...], ...]:
-        return self.pg.parts
+    def pg(self) -> PartitionedGraph:
+        """The blowup itself, for callers that ask for its partitioned graph."""
+        return self
 
     def family_size(self) -> int:
         """Number of distinct choice functions over per-edge transversal MIS's."""
@@ -393,6 +391,7 @@ def blowup(spec: BlowupSpec) -> Blowup:
     for x in range(1, h.n):
         offsets[x] = offsets[x - 1] + part_sizes[x - 1]
     n_total = sum(part_sizes)
+    check_vertex_count(n_total)
 
     digit_tuples = [list(product(*(range(d) for d in dx))) for dx in dims]
     rows = [0] * n_total
@@ -421,7 +420,6 @@ def blowup(spec: BlowupSpec) -> Blowup:
     parts = tuple(
         tuple(range(offsets[x], offsets[x] + part_sizes[x])) for x in range(h.n)
     )
-    pg = PartitionedGraph(Graph(n_total, tuple(rows)), parts)
 
     gadget_mis = []
     for gp in gadget_pgs:
@@ -432,18 +430,13 @@ def blowup(spec: BlowupSpec) -> Blowup:
             )
         gadget_mis.append(tuple(sorted(entries)))
     return Blowup(
-        pg=pg,
+        graph=Graph(n_total, tuple(rows)),
+        parts=parts,
         template=h,
-        sizes=spec.sizes,
-        gadget_kind=spec.gadget_kind,
         gadget_mis=tuple(gadget_mis),
         part_offsets=tuple(offsets),
         part_dims=tuple(dims),
     )
-
-
-def _gadget_block(r: int, m: int) -> Graph:
-    return comatching(2 * m).graph if r == 2 else gadget(trivial_packing(r, m)).graph
 
 
 def disjoint_gadget_union(k: int, t: int, m: int) -> Graph:
@@ -457,11 +450,12 @@ def disjoint_gadget_union(k: int, t: int, m: int) -> Graph:
     if k < 1 or t < 3 or m < 1:
         raise ValueError("need k >= 1, t >= 3, m >= 1")
     q, s = divmod(k, t - 1)
-    blocks = [_gadget_block(t - 1, m) for _ in range(q)]
+    check_vertex_count(q * (t - 1) * m + (1 if s == 1 else s * m))
+    blocks = [_edge_gadget(t - 1, m, "auto").graph for _ in range(q)]
     if s == 1:
         blocks.append(Graph.empty(1))
     elif s >= 2:
-        blocks.append(_gadget_block(s, m))
+        blocks.append(_edge_gadget(s, m, "auto").graph)
     return disjoint_union(blocks)
 
 
@@ -495,6 +489,7 @@ def window_hypergraph(r: int, k: int, n: int) -> Hypergraph:
         raise ValueError("need n >= k")
     if r == 3 and k == 2:
         raise ValueError("(r, k) = (3, 2) unsupported; use star_hypergraph")
+    check_vertex_count(n)
     s = n % k
     big, small = -(-n // k), n // k
     parts = []
@@ -520,6 +515,7 @@ def star_hypergraph(n: int) -> Hypergraph:
     """
     if n < 4:
         raise ValueError("need n >= 4")
+    check_vertex_count(n)
     return Hypergraph(
         n, tuple((0, u, w) for u in range(1, n) for w in range(u + 1, n))
     )
@@ -532,6 +528,7 @@ def dominating_clique_graph(t: int, n: int) -> Graph:
     """
     if t < 3 or n < t:
         raise ValueError("need n >= t >= 3")
+    check_vertex_count(n)
     c = t - 2
     edges = list(combinations(range(c), 2))
     edges.extend((u, v) for u in range(c) for v in range(c, n))

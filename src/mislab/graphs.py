@@ -25,6 +25,12 @@ MAX_VERTICES = 128
 VertexSet = int | Iterable[int]
 
 
+def check_vertex_count(n: int) -> None:
+    """Reject a vertex count outside [0, MAX_VERTICES]; generators call it first."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+
+
 def vertex_mask(vertices: Iterable[int]) -> int:
     """Pack an iterable of vertex indices into a bitmask."""
     m = 0
@@ -69,8 +75,7 @@ class Graph:
     __getstate__ = _without_caches
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
+        check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -246,8 +251,7 @@ class Hypergraph:
     __getstate__ = _without_caches
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside [0, {MAX_VERTICES}]")
+        check_vertex_count(self.n)
         seen = set()
         for e in self.edges:
             if len(e) < 2:
@@ -266,11 +270,6 @@ class Hypergraph:
 
     def uniform(self, r: int) -> bool:
         return all(len(e) == r for e in self.edges)
-
-    def uniformity(self) -> int | None:
-        """Common edge size, or None if edges are mixed or absent."""
-        sizes = {len(e) for e in self.edges}
-        return sizes.pop() if len(sizes) == 1 else None
 
     def edge_masks(self) -> tuple[int, ...]:
         return tuple(vertex_mask(e) for e in self.edges)
@@ -364,18 +363,13 @@ def partite_complement(pg: PartitionedGraph) -> PartitionedGraph:
     complement slot to move to.
     """
     g = pg.graph
-    masks = pg.part_masks()
-    for mask in masks:
+    full = g.full_mask()
+    rows = [0] * g.n
+    for mask in pg.part_masks():
         for v in iter_bits(mask):
             if g.adj[v] & mask:
                 raise ValueError("intra-part edge; partite complement undefined")
-    part_of = {}
-    for i, mask in enumerate(masks):
-        for v in iter_bits(mask):
-            part_of[v] = i
-    rows = [0] * g.n
-    for v in range(g.n):
-        rows[v] = g.full_mask() & ~g.adj[v] & ~masks[part_of[v]]
+            rows[v] = full & ~g.adj[v] & ~mask
     return PartitionedGraph(Graph(g.n, tuple(rows)), pg.parts)
 
 

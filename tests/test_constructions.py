@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -11,6 +12,7 @@ import pytest
 
 from mislab import (
     BlowupSpec,
+    check_k5_hypothesis,
     FractionalMatching,
     Graph,
     Hypergraph,
@@ -39,6 +41,7 @@ from mislab import (
     trivial_packing,
     window_hypergraph,
 )
+from mislab.graphs import MAX_VERTICES
 from naive import has_3term_ap, hyper_contains_complete
 
 
@@ -167,6 +170,48 @@ def test_blowup_c5_sizes_and_family():
         assert is_maximal_independent(bw.graph, mask)
         seen.add(mask)
     assert len(seen) == 32
+
+
+def test_blowup_is_a_partitioned_graph():
+    bw = tight_cycle_blowup(5, 3, 2)
+    assert isinstance(bw, PartitionedGraph) and bw.pg is bw
+    assert count_transversal_mis(bw) == count_transversal_mis(bw.pg) == bw.family_size() == 32
+    assert check_k5_hypothesis(bw)
+    assert bw.part_masks() == tuple(sum(1 << v for v in p) for p in bw.parts)
+    clone = pickle.loads(pickle.dumps(bw))
+    assert clone == bw and clone.family_size() == 32
+    assert clone.family_mis((1, 0, 1, 0, 1)) == bw.family_mis((1, 0, 1, 0, 1))
+
+
+def test_generators_check_the_vertex_count_first():
+    top = MAX_VERTICES
+    cases = [
+        (lambda: comatching(top + 1), top + 1),
+        (lambda: trivial_packing(3, top // 3 + 1), 3 * (top // 3 + 1)),
+        (lambda: rs_packing(top // 6 + 1), 6 * (top // 6 + 1)),
+        (lambda: tight_cycle(3, top + 1), top + 1),
+        (lambda: window_hypergraph(3, 3, top + 1), top + 1),
+        (lambda: star_hypergraph(top + 1), top + 1),
+        (lambda: dominating_clique_graph(3, top + 1), top + 1),
+        (lambda: disjoint_gadget_union(4, 3, 40), 160),
+        (lambda: disjoint_gadget_union(5, 3, 40), 161),
+        (lambda: tight_cycle_blowup(4, 3, 6), 144),
+        (lambda: blowup(BlowupSpec(tight_cycle(2, 5), (6,) * 5)), 180),
+    ]
+    for build, n in cases:
+        with pytest.raises(ValueError, match=rf"^vertex count {n} outside \[0, {top}\]$"):
+            build()
+    # The largest sizes that fit still build.
+    assert comatching(top).graph.n == top
+    assert disjoint_gadget_union(5, 3, 31).n == 125
+    assert tight_cycle_blowup(4, 3, 5).graph.n == 100
+
+
+def test_packing_graph_rejects_a_clique_outside_the_parts():
+    ok = trivial_packing(3, 2)
+    for clique in ((0, 2, 9), (0, 2, 2), (0, 2, -1)):
+        with pytest.raises(ValueError):
+            PackingGraph(ok.pg, (clique, (1, 3, 5)))
 
 
 def test_blowup_single_edge_is_comatching():
