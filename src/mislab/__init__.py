@@ -66,7 +66,6 @@ from .search import (
     SearchSpec,
     VerifyRow,
     canonical_form,
-    canonical_hypergraph_json,
     exhaustive_m,
     hujter_tuza_value,
     hyper_m432_value,

@@ -233,6 +233,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    if args.format == "graph6" and args.r != 2:
+        raise CliError("--format graph6 needs --r 2; 3-graph witnesses are JSON")
     spec = SearchSpec(
         n=args.n,
         k=args.k,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 
 from .engine import transversal_mis_list
 from .formats import hypergraph_from_json, hypergraph_to_json
@@ -473,6 +473,13 @@ def tight_cycle_blowup(k: int, t: int, m: int) -> Blowup:
     return blowup(BlowupSpec(template, (m,) * len(template.edges)))
 
 
+# A stored edge is a tuple of r small ints, 40 + 8r bytes in CPython, plus its
+# 8-byte slot in the edge tuple.  Building peaks near twice the stored size
+# (the edge list, then the duplicate check), so this 256 MiB budget for the
+# stored edges keeps a build near 512 MiB of memory.
+EDGE_BYTES_CAP = 1 << 28
+
+
 def window_hypergraph(r: int, k: int, n: int) -> Hypergraph:
     """r-uniform hypergraph on k near-equal parts whose edges take two
     vertices from one part and one from each of the next r-2 parts (cyclic).
@@ -492,10 +499,18 @@ def window_hypergraph(r: int, k: int, n: int) -> Hypergraph:
     check_vertex_count(n)
     s = n % k
     big, small = -(-n // k), n // k
+    sizes = [big if i < s else small for i in range(k)]
+    # Predict the edges, sum_i C(|P_i|, 2) * prod_j |P_{i+j}|, before building.
+    count = sum(
+        comb(sizes[i], 2) * prod(sizes[(i + j) % k] for j in range(1, r - 1)) for i in range(k)
+    )
+    need = count * (48 + 8 * r)
+    if need > EDGE_BYTES_CAP:
+        budget = EDGE_BYTES_CAP >> 20
+        raise ValueError(f"{count} edges need {need >> 20} MiB, above the {budget} MiB edge budget")
     parts = []
     start = 0
-    for i in range(k):
-        size = big if i < s else small
+    for size in sizes:
         parts.append(range(start, start + size))
         start += size
     edges = []

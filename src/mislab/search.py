@@ -20,20 +20,19 @@ narrowest unsigned type (ints meeting them are cut to the low bits), with
 uint8 counts: an r-graph's MIS's form an antichain, so by Sperner's theorem
 there are at most C(n, n // 2).  numpy is imported only inside the scan.
 
-Witnesses are deduplicated up to isomorphism.  A graph's canonical form is
-the lexicographically least graph6 string over all relabelings, found by
-branch-and-bound on adjacency columns, with orbit pruning from the
-automorphisms that equal leaves reveal; a 3-graph's is its least edge-list
-JSON over all relabelings.
+Witnesses are deduplicated up to isomorphism by one canonical labelling
+for graphs and 3-graphs: the least sequence of edge columns over all
+relabelings, found by branch and bound with orbit pruning from the
+automorphisms that equal leaves reveal.  A graph's form is its least graph6
+string, a 3-graph's its edge-list JSON under that labelling.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, count, permutations, product
+from itertools import combinations, count, product
 from math import comb
 
 from .formats import graph6_encode
@@ -69,12 +68,9 @@ class SearchReport:
     witnesses: list[str] = field(default_factory=list)
     formula_value: int | None = None
     graphs_scanned: int = 0
-    elapsed: float = 0.0
     truncated: bool = False
 
     def to_json(self) -> dict:
-        # elapsed deliberately excluded: reports must be byte-identical
-        # across runs of the same configuration.
         return {
             "spec": {
                 "n": self.spec.n,
@@ -162,16 +158,10 @@ def _clique_filter(
     return tuple(killers), tuple(straddlers), base
 
 
-def graph_from_edge_mask(n: int, mask: int) -> Graph:
-    return Graph.from_edges(n, [p for p, bit in _slots(n, 2).items() if mask & bit])
-
-
-def _canonical_witness(n: int, r: int, mask: int) -> str:
-    """The canonical text of a witness: graph6 for r=2, edge-list JSON for r=3."""
-    if r == 2:
-        return canonical_form(graph_from_edge_mask(n, mask)).decode("ascii")
+def graph_from_edge_mask(n: int, mask: int, r: int = 2) -> Graph | Hypergraph:
+    """The r-graph whose edges are the slots set in ``mask``: a Graph for r=2."""
     edges = tuple(s for s, bit in _slots(n, r).items() if mask & bit)
-    return canonical_hypergraph_json(Hypergraph(n, edges))
+    return Graph.from_edges(n, edges) if r == 2 else Hypergraph(n, edges)
 
 
 def _chunk_crosses(crosses: tuple[int, ...], fixed: int, low_bits: int) -> tuple[int, list[int]]:
@@ -251,9 +241,8 @@ def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
 
     Refuses scans beyond ``SCAN_BITS_CAP`` edge bits rather than running
     forever.  Witnesses, when requested, are deduplicated up to isomorphism
-    and returned as canonical graph6 strings (3-graphs as canonical JSON).
+    and returned as ``canonical_form`` text (graph6, or JSON for 3-graphs).
     """
-    start = time.time()
     n, k, t, r = spec.n, spec.k, spec.t, spec.r
     if r not in (2, 3):
         raise ValueError(f"unsupported uniformity r={r}")
@@ -281,7 +270,8 @@ def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
     ]
     if workers > 1 and len(jobs) > 1:
         import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
+        # The scan is CPU-bound: workers beyond the chunks or the CPUs gain nothing.
+        with multiprocessing.Pool(min(workers, len(jobs), multiprocessing.cpu_count())) as pool:
             results = pool.map(_scan_chunk, jobs)
     else:
         results = [_scan_chunk(j) for j in jobs]
@@ -302,27 +292,29 @@ def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
                 if len(seen) >= spec.witness_cap:
                     truncated = True
                     break
-                seen.add(_canonical_witness(n, r, mask))
+                seen.add(canonical_form(graph_from_edge_mask(n, mask, r)).decode("ascii"))
         witnesses = sorted(seen)
     return SearchReport(
         spec=spec,
         value=best,
         witnesses=witnesses,
         graphs_scanned=scanned,
-        elapsed=time.time() - start,
         truncated=truncated,
     )
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Lexicographically least graph6 encoding over all vertex relabelings.
+def canonical_form(obj: Graph | Hypergraph) -> bytes:
+    """The text of a graph or uniform hypergraph under its least labelling.
 
-    Equal outputs characterize isomorphic graphs.  Branch and bound: vertices
-    are placed one position at a time, each new position contributing the
-    adjacency column against the placed prefix; only candidates achieving
-    the minimal column are branched (a non-minimal column loses at this
-    position no matter the completion), and prefixes exceeding the best
-    known sequence are cut.
+    Equal outputs characterize isomorphic r-graphs.  Branch and bound:
+    vertices are placed one position at a time, each new position
+    contributing a column with one bit per (r-1)-set of earlier positions,
+    set when that set and the new vertex form an edge (for a graph, its
+    adjacency against the placed prefix).  Only candidates achieving the
+    minimal column are branched (a non-minimal column loses at this position
+    no matter the completion), and prefixes exceeding the best known
+    sequence are cut.  A graph comes back as graph6, a hypergraph as
+    edge-list JSON with sorted edges, under the least labelling.
 
     Two leaves with equal columns differ by an automorphism, which fixes
     their common prefix pointwise.  At a node, a tied candidate in the orbit
@@ -332,16 +324,27 @@ def canonical_form(g: Graph) -> bytes:
     prefix, is a replay too, so the search unwinds to that prefix.  This
     keeps symmetric graphs (empty, complete, cycles) from costing n!.
     """
-    n = g.n
+    n = obj.n
     if n > CANONICAL_CAP:
         raise ValueError(f"canonical form capped at n <= {CANONICAL_CAP}, got {n}")
-    adj = g.adj
+    # link: an (r-1)-set's mask -> the vertices completing it to an edge.
+    if isinstance(obj, Graph):
+        r, link = 2, {1 << v: row for v, row in enumerate(obj.adj)}
+    else:
+        r = len(obj.edges[0]) if obj.edges else 2
+        if not obj.uniform(r):
+            raise ValueError("canonical form needs a uniform hypergraph")
+        link = {}
+        for w, rests in enumerate(obj.rest_masks):
+            for rest in rests:
+                link[rest] = link.get(rest, 0) | 1 << w
     best: tuple[int, ...] | None = None
     best_order: tuple[int, ...] = ()
     autos: list[list[int]] = []
 
-    def rec(order: tuple[int, ...], cols: tuple[int, ...], col_of: dict[int, int]) -> int:
-        # col_of: each unplaced vertex's column against the placed prefix.
+    def rec(order: tuple[int, ...], cols: tuple[int, ...], col_of: dict, levels: tuple) -> int:
+        # col_of: each unplaced vertex's column against the placed prefix;
+        # levels[i]: the prefix's i-sets (i < r-1) as masks, in position order.
         # Returns the depth the search unwinds to: n unless an automorphism
         # shows the rest of an ancestor's child subtree is a replay.
         nonlocal best, best_order
@@ -382,35 +385,32 @@ def canonical_form(g: Graph) -> bytes:
                 if any(orbit[u] == orbit[v] for u in explored):
                     continue
             explored.append(v)
-            row = adj[v]
-            rest = {w: cw << 1 | row >> w & 1 for w, cw in col_of.items() if w != v}
-            depth = rec(order + (v,), cols + (cmin,), rest)
+            rest = col_of
+            for s in levels[-1]:  # each new (r-1)-set: v and an (r-2)-set of the prefix
+                row = link.get(s | 1 << v, 0)
+                rest = {w: cw << 1 | row >> w & 1 for w, cw in rest.items() if w != v}
+            if v in rest:  # no (r-1)-set yet: the first r-2 positions
+                rest = {w: cw for w, cw in rest.items() if w != v}
+            grown = levels if r == 2 else levels[:1] + tuple(  # a graph's never grow
+                lv + [s | 1 << v for s in lower] for lower, lv in zip(levels, levels[1:])
+            )
+            depth = rec(order + (v,), cols + (cmin,), rest, grown)
             if depth < pos:
                 return depth
         return n
 
-    rec((), (), dict.fromkeys(range(n), 0))
-    # Column j holds the adjacency bits against positions 0..j-1, most
-    # significant first: exactly graph6's packing order, so the least column
-    # sequence relabels to the least graph6 string.
+    rec((), (), dict.fromkeys(range(n), 0), ([0],) + ([],) * (r - 2))
+    # For a graph, column j holds the adjacency bits against positions
+    # 0..j-1, most significant first: exactly graph6's packing order, so the
+    # least column sequence relabels to the least graph6 string.
     position = [0] * n
     for i, v in enumerate(best_order):
         position[v] = i
-    return graph6_encode(g.relabel(position))
-
-
-def canonical_hypergraph_json(h: Hypergraph) -> str:
-    """Minimum edge-list JSON over all vertex relabelings (small n only)."""
-    if h.n > 8:
-        raise ValueError("hypergraph canonical form capped at n <= 8")
-    best = None
-    for perm in permutations(range(h.n)):
-        edges = sorted(tuple(sorted(perm[v] for v in e)) for e in h.edges)
-        if best is None or edges < best:
-            best = edges
+    if isinstance(obj, Graph):
+        return graph6_encode(obj.relabel(position))
     import json
-
-    return json.dumps({"n": h.n, "edges": best}, separators=(",", ":"))
+    edges = sorted(sorted(position[v] for v in e) for e in obj.edges)
+    return json.dumps({"n": n, "edges": edges}, separators=(",", ":")).encode("ascii")
 
 
 # Closed forms under verification.

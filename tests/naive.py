@@ -7,7 +7,7 @@ deliberately independent of the package's bitmask machinery.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from mislab import Graph, Hypergraph, PartitionedGraph
 
@@ -103,6 +103,14 @@ def hyper_contains_complete(h: Hypergraph, t: int, r: int) -> bool:
     return any(
         all(frozenset(sub) in edges for sub in combinations(group, r))
         for group in combinations(range(h.n), t)
+    )
+
+
+def naive_hyper_canonical(h: Hypergraph) -> list[tuple[int, ...]]:
+    """The least sorted edge list over all n! relabelings: an isomorphism invariant."""
+    return min(
+        sorted(tuple(sorted(perm[v] for v in e)) for e in h.edges)
+        for perm in permutations(range(h.n))
     )
 
 

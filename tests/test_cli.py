@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from mislab import Graph, graph6_decode, graph6_encode, count_k_mis, has_clique
 from mislab.cli import main
+from mislab.search import THEOREM_IDS
 
 
 def run(argv, capsys):
@@ -390,3 +391,121 @@ def test_inputs_that_select_nothing_exit_2(capsys):
     assert (code, out) == (0, "n,computed,formula,match\n4,4,4,1\n")
     code, _, _ = run(["search", "--n", "4", "--witness-cap", "0", "--threads", "1"], capsys)
     assert code == 0
+
+
+def test_search_r3_rejects_graph6_format(capsys):
+    # 3-graph witnesses are edge-list JSON, which is not graph6.
+    code, out, err = run(
+        ["search", "--n", "4", "--r", "3", "--witnesses", "--format", "graph6", "--threads", "1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --format graph6 needs --r 2; 3-graph witnesses are JSON\n"
+
+
+class _SerialPool:
+    """Records the worker count asked for and runs the jobs in this process."""
+
+    requested: list[int] = []
+
+    def __init__(self, processes: int):
+        self.requested.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+def test_search_threads_are_capped_by_chunks_and_cpus(monkeypatch, capsys):
+    # n=7 scans 32 chunks.  A request for 100000 workers, by flag or by
+    # MIS_LAB_THREADS, starts no more than the chunks or the CPUs; the
+    # result is the serial one.  No real pool is started.
+    import multiprocessing
+
+    monkeypatch.setattr(_SerialPool, "requested", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    argv = ["search", "--n", "7", "--k", "2", "--t", "3", "--format", "json"]
+    code, out, _ = run(argv + ["--threads", "1"], capsys)
+    assert code == 0 and _SerialPool.requested == []
+    serial = json.loads(out)["result"]
+    for cpus, want in ((1000, 32), (2, 2)):
+        monkeypatch.setattr(multiprocessing, "cpu_count", lambda: cpus)
+        code, out, _ = run(argv + ["--threads", "100000"], capsys)
+        assert code == 0 and json.loads(out)["result"] == serial
+        assert _SerialPool.requested[-1] == want
+        monkeypatch.setenv("MIS_LAB_THREADS", "100000")
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and json.loads(out)["result"] == serial
+        assert _SerialPool.requested[-1] == want
+        monkeypatch.delenv("MIS_LAB_THREADS")
+
+
+def _main_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of one in-process run; argparse errors exit 2."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv + ["--threads", "1"])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+# Sizes up to 6 scan quickly; 7 stands for the first capped size, 9 for graphs
+# and 7 for 3-graphs.  Valid k and t are drawn more often, so that many
+# draws scan.  A witness cap is always given and stays small, so that no draw
+# canonicalises thousands of witnesses.
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(-1, 7),
+    k=st.none() | st.integers(0, 6) | st.integers(-1, 7),
+    t=st.none() | st.integers(4, 7) | st.integers(-1, 7),
+    r=st.sampled_from((2, 3)),
+    witnesses=st.booleans(),
+    cap=st.integers(-1, 3),
+    fmt=st.sampled_from(("json", "csv", "graph6")),
+)
+def test_search_fuzz_exits_with_documented_code(n, k, t, r, witnesses, cap, fmt):
+    argv = ["search", "--n", str({2: 9, 3: 7}[r] if n == 7 else n), "--r", str(r)]
+    argv += ["--witness-cap", str(cap), "--format", fmt]
+    for flag, value in (("--k", k), ("--t", t)):
+        if value is not None:
+            argv += [flag, str(value)]
+    if witnesses:
+        argv.append("--witnesses")
+    code, err = _main_quietly(argv)
+    assert code in {0, 2, 3, 4}, argv
+    assert "Traceback" not in err
+
+
+# Range ends up to 7; 9, the first size the graph scan refuses, alone (a range
+# through 8 would run the full census); and some malformed ranges.
+_END = st.integers(-1, 7)
+_RANGE = st.one_of(
+    st.tuples(_END, _END).map(lambda ends: f"{min(ends)}..{max(ends)}"),
+    st.tuples(_END, _END).map(lambda ends: f"{ends[0]}..{ends[1]}"),
+    _END.map(str),
+    st.sampled_from(("9", "9..9", "", "x", "3..", "..4", "2..3..4")),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    theorem=st.sampled_from(THEOREM_IDS),
+    n=_RANGE,
+    k=st.none() | _RANGE,
+    t=st.none() | _RANGE,
+    fmt=st.sampled_from(("csv", "json")),
+)
+def test_verify_fuzz_exits_with_documented_code(theorem, n, k, t, fmt):
+    # --flag=value, so that a range like -1..3 reaches the range parser.
+    argv = ["verify", "--theorem", theorem, f"--n={n}", "--format", fmt]
+    argv += [f"{flag}={value}" for flag, value in (("--k", k), ("--t", t)) if value is not None]
+    code, err = _main_quietly(argv)
+    assert code in {0, 2, 3, 4}, argv
+    assert "Traceback" not in err

@@ -84,6 +84,19 @@ def _limit_memory() -> None:
     ],
 )
 def test_oversized_construction_exits_2_before_building(argv, n):
+    _exits_2_before_building(argv, f"error: vertex count {n} outside [0, 128]")
+
+
+def test_oversized_hypergraph_exits_2_before_building():
+    # Within the vertex cap, but sum_i C(|P_i|, 2) * prod_j |P_{i+j}| edges of
+    # 88 + 8 bytes each over parts 22, 22, 21, 21, 21, 21.
+    _exits_2_before_building(
+        ["hyper", "--r", "6", "--k", "6", "--n", "128"],
+        "error: 269245053 edges need 24650 MiB, above the 256 MiB edge budget",
+    )
+
+
+def _exits_2_before_building(argv: list[str], error: str) -> None:
     # A separate process with a memory cap and a timeout, so that a generator
     # that builds before it checks fails this test instead of the machine.
     src = os.path.dirname(os.path.dirname(mislab.__file__))
@@ -94,7 +107,7 @@ def test_oversized_construction_exits_2_before_building(argv, n):
     )
     assert proc.returncode == 2, proc.stderr[-500:]
     assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [f"error: vertex count {n} outside [0, 128]"]
+    assert proc.stderr.splitlines() == [error]
 
 
 # Small sizes are drawn more often, so that many draws build something.

@@ -383,6 +383,27 @@ def test_window_hypergraph_unequal_parts():
     assert not hyper_contains_complete(h, 4, 3)
 
 
+def test_window_hypergraph_predicts_its_edge_count(monkeypatch):
+    # The count predicted before building is the count built: a budget one
+    # byte short of it rejects the build, and the exact budget admits it.
+    import sys
+
+    import mislab.constructions as cons
+
+    assert len(window_hypergraph(4, 4, 20).edges) == 1000
+    for r, k, n in ((3, 3, 9), (4, 4, 20), (4, 5, 23), (5, 4, 13), (6, 6, 14)):
+        # The per-edge bytes the budget charges: a tuple of r ints and its slot.
+        assert sys.getsizeof(tuple(range(r))) + 8 == 48 + 8 * r
+        edges = len(window_hypergraph(r, k, n).edges)
+        need = edges * (48 + 8 * r)
+        monkeypatch.setattr(cons, "EDGE_BYTES_CAP", need - 1)
+        with pytest.raises(ValueError, match=f"^{edges} edges need "):
+            window_hypergraph(r, k, n)
+        monkeypatch.setattr(cons, "EDGE_BYTES_CAP", need)
+        assert len(window_hypergraph(r, k, n).edges) == edges
+        monkeypatch.undo()
+
+
 def test_star_hypergraph():
     for n in (4, 5, 6):
         h = star_hypergraph(n)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -27,7 +28,7 @@ from mislab import (
     verify_theorem,
 )
 from mislab.search import graph_from_edge_mask
-from naive import random_graph
+from naive import naive_hyper_canonical, random_graph, random_hypergraph3
 
 
 def brute_canonical(g: Graph) -> bytes:
@@ -124,6 +125,76 @@ def test_canonical_form_separates_the_two_six_vertex_extremes():
     assert canonical_form(comatching(6).graph) != canonical_form(c4_leaves_graph())
 
 
+def _relabel(h: Hypergraph, perm: list[int]) -> Hypergraph:
+    return Hypergraph.from_edges(h.n, ([perm[v] for v in e] for e in h.edges))
+
+
+def test_3graph_canonical_form_equality_matches_brute_force_isomorphism():
+    # Seeded pairs: a random 3-graph and a relabeled copy, half the time with
+    # one triple toggled; the n! relabeling oracle decides isomorphism.  The
+    # form is also a relabeling of its input.
+    rng = random.Random(71)
+    isomorphic = 0
+    for _ in range(150):
+        n = rng.randint(3, 6)
+        h = random_hypergraph3(rng, n, rng.random())
+        edges = set(h.edges)
+        if rng.random() < 0.5:
+            edges ^= {tuple(sorted(rng.sample(range(n), 3)))}
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = _relabel(Hypergraph(n, tuple(sorted(edges))), perm)
+        form = canonical_form(h)
+        doc = json.loads(form)
+        assert doc["n"] == n and doc["edges"] == sorted(doc["edges"])
+        assert naive_hyper_canonical(Hypergraph.from_edges(n, doc["edges"])) == (
+            naive_hyper_canonical(h)
+        )
+        same = naive_hyper_canonical(h) == naive_hyper_canonical(g)
+        isomorphic += same
+        assert (form == canonical_form(g)) == same, (h.edges, g.edges)
+    assert 40 < isomorphic < 150
+
+
+def test_3graph_canonical_form_is_relabeling_invariant():
+    rng = random.Random(43)
+    family = []
+    for n in range(3, 10):
+        triples = list(combinations(range(n), 3))
+        family += [Hypergraph(n, ()), Hypergraph(n, tuple(triples))]
+        family.append(Hypergraph(n, tuple(t for t in triples if 0 in t)))
+        cycle = {tuple(sorted((i, (i + 1) % n, (i + 2) % n))) for i in range(n)}
+        family.append(Hypergraph(n, tuple(sorted(cycle))))
+        family += [random_hypergraph3(rng, n, rng.random()) for _ in range(8)]
+    for h in family:
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        assert canonical_form(_relabel(h, perm)) == canonical_form(h), h
+
+
+def test_canonical_forms_count_the_isomorphism_classes():
+    # Unlabeled 3-graphs on 3, 4, 5 vertices: 2, 5, 34 (OEIS A000665);
+    # unlabeled graphs on 4 and 5 vertices: 11, 34 (OEIS A000088).
+    for r, n, classes in ((3, 3, 2), (3, 4, 5), (3, 5, 34), (2, 4, 11), (2, 5, 34)):
+        masks = range(1 << math.comb(n, r))
+        forms = {canonical_form(graph_from_edge_mask(n, m, r)) for m in masks}
+        assert len(forms) == classes, (r, n)
+
+
+def test_canonical_form_rejects_non_uniform_and_oversized_inputs():
+    with pytest.raises(ValueError, match="^canonical form needs a uniform hypergraph$"):
+        canonical_form(Hypergraph.from_edges(4, [(0, 1), (1, 2, 3)]))
+    for obj in (Graph.empty(11), Hypergraph(11, ())):
+        with pytest.raises(ValueError, match="capped at n <= 10, got 11"):
+            canonical_form(obj)
+    # A 2-uniform Hypergraph is labelled like the graph, but comes back as JSON.
+    from mislab import graph6_decode
+
+    h = Hypergraph.from_edges(5, [(2, 3), (0, 3), (1, 4)])
+    g = graph6_decode(canonical_form(Graph.from_edges(5, h.edges)))
+    assert json.loads(canonical_form(h)) == {"n": 5, "edges": [list(e) for e in g.edges()]}
+
+
 def test_closed_forms():
     assert [moon_moser_value(n) for n in range(2, 8)] == [2, 3, 4, 6, 9, 12]
     assert [hujter_tuza_value(n) for n in range(4, 8)] == [4, 5, 8, 10]
@@ -212,6 +283,51 @@ def test_hypergraph_scan_witnesses():
         doc = json.loads(w)
         h = Hypergraph.from_edges(doc["n"], doc["edges"])
         assert hypergraph_count_k_mis(h, 2) == 3
+
+
+# (n, t) -> (value, distinct witnesses, truncated) of the 3-graph witness scan
+# for k = None, 0, 1, ..., n, as a brute-force n! relabeling canonicaliser finds them.
+# At k = 0 and 1 every 3-graph ties at 0, so n = 5 lists all 34 classes.
+R3_WITNESS_SCANS = {
+    (3, None): ((3, 1, 0), (0, 2, 0), (0, 2, 0), (3, 1, 0), (1, 1, 0)),
+    (4, None): ((6, 1, 0), (0, 5, 0), (0, 5, 0), (6, 1, 0), (3, 1, 0), (1, 1, 0)),
+    (4, 4): ((4, 1, 0), (0, 4, 0), (0, 4, 0), (3, 1, 0), (3, 1, 0), (1, 1, 0)),
+    (5, None): ((10, 1, 0), (0, 34, 0), (0, 34, 0), (10, 1, 0), (7, 1, 0), (3, 1, 0), (1, 1, 0)),
+    (5, 4): ((7, 2, 0), (0, 23, 0), (0, 23, 0), (4, 1, 0), (7, 1, 0), (3, 1, 0), (1, 1, 0)),
+    (5, 5): ((8, 1, 0), (0, 33, 0), (0, 33, 0), (7, 1, 0), (7, 1, 0), (3, 1, 0), (1, 1, 0)),
+    (6, None): (
+        (15, 1, 0), (0, 64, 1), (0, 64, 1), (15, 1, 0), (14, 1, 0), (9, 1, 0), (3, 1, 0), (1, 1, 0)
+    ),
+    (6, 4): (
+        (14, 1, 0), (0, 64, 1), (0, 64, 1), (5, 1, 0), (14, 1, 0), (9, 1, 0), (3, 1, 0), (1, 1, 0)
+    ),
+    (6, 5): (
+        (14, 1, 0), (0, 64, 1), (0, 64, 1), (9, 2, 0), (14, 1, 0), (9, 1, 0), (3, 1, 0), (1, 1, 0)
+    ),
+    (6, 6): (
+        (14, 1, 0), (0, 64, 1), (0, 64, 1), (12, 1, 0), (14, 1, 0), (9, 1, 0), (3, 1, 0), (1, 1, 0)
+    ),
+}
+
+
+@pytest.mark.slow
+def test_3graph_witness_scans_keep_their_classes():
+    # Every `search --r 3 --witnesses` spec up to n = 6: the canonical labelling
+    # decides the witness strings, not which classes are found, how many, or
+    # whether the cap cut them.
+    assert len([k for rows in R3_WITNESS_SCANS.values() for k in rows]) == 70
+    for (n, t), rows in R3_WITNESS_SCANS.items():
+        for k, want in zip([None, *range(n + 1)], rows):
+            rep = exhaustive_m(SearchSpec(n, k=k, t=t, r=3, collect_witnesses=True))
+            got = (rep.value, len(rep.witnesses), int(rep.truncated))
+            assert got == want, (n, t, k)
+            if n <= 5:  # the witnesses are pairwise non-isomorphic
+                docs = [json.loads(w) for w in rep.witnesses]
+                classes = {
+                    tuple(naive_hyper_canonical(Hypergraph.from_edges(n, d["edges"])))
+                    for d in docs
+                }
+                assert len(classes) == len(docs), (n, t, k)
 
 
 def test_verify_rows_all_match():
@@ -334,12 +450,18 @@ def test_3graph_scan_matches_per_graph_oracle_at_small_n(monkeypatch):
 
 
 def test_graph_from_edge_mask_round_trip():
+    # Bit b of the mask is the b-th r-subset in combinations order.
     rng = random.Random(3)
     for _ in range(30):
-        n = rng.randint(2, 7)
-        mask = rng.randrange(1 << (n * (n - 1) // 2))
-        g = graph_from_edge_mask(n, mask)
-        assert g.n == n
+        for r in (2, 3):
+            n = rng.randint(r, 7)
+            slots = list(combinations(range(n), r))
+            mask = rng.randrange(1 << len(slots))
+            edges = [s for b, s in enumerate(slots) if mask >> b & 1]
+            g = graph_from_edge_mask(n, mask, r)
+            assert g.n == n
+            assert (list(g.edges()) if r == 2 else list(g.edges)) == edges
+    assert graph_from_edge_mask(4, 0b100001) == Graph.from_edges(4, [(0, 1), (2, 3)])
 
 
 def test_monotonicity_violations_are_exactly_the_known_ones():
