@@ -11,14 +11,16 @@ complete r-graph on t vertices by where its slots fall: wholly in the high
 bits (a chunk whose prefix holds it is skipped before any other work),
 wholly in the low bits (removed once, from a cached ascending array of low
 patterns), or straddling (a constraint on the low bits only in chunks whose
-prefix holds its high part).  A vertex set is an MIS iff the mask misses
-its inside slots and, for each outside vertex, hits the slots joining that
-vertex to r-1 members of the set.  These tests (cached per (n, r, sizes))
-are settled on the fixed prefix where they can be; the rest are mask
-compares vectorized over the chunk's surviving low patterns, kept in the
-narrowest unsigned type (ints meeting them are cut to the low bits), with
-uint8 counts: an r-graph's MIS's form an antichain, so by Sperner's theorem
-there are at most C(n, n // 2).  numpy is imported only inside the scan.
+prefix holds its high part; a chunk's active straddlers build one keep-mask,
+their single-slot lows merged into one compare).  A vertex set is an MIS
+iff the mask misses its inside slots and, for each outside vertex, hits the
+slots joining that vertex to r-1 members of the set.  These tests (cached
+per (n, r, sizes)) are settled on the fixed prefix where they can be; the
+rest are mask compares over the chunk's surviving low patterns into buffers
+made once per chunk, in the narrowest unsigned type (ints meeting them are
+cut to the low bits), with uint8 counts: an r-graph's MIS's form an
+antichain, so by Sperner's theorem there are at most C(n, n // 2).  numpy
+is imported only inside the scan.
 
 Witnesses are deduplicated up to isomorphism by one canonical labelling
 for graphs and 3-graphs: the least sequence of edge columns over all
@@ -203,10 +205,18 @@ def _scan_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
     killers, straddlers, base = _clique_filter(n, r, t, width)
     if any(lo & km == km for km in killers):
         return -1, [], hi - lo, False
+    # Single-slot lows merge into one mask; a multi-slot low meeting it removes nothing more.
+    lows = [low for high, low in straddlers if lo & high == high]
+    single = sum({low for low in lows if not low & (low - 1)})
     masks = base
-    for high, low in straddlers:
-        if lo & high == high:
-            masks = masks[(masks & low) != low]
+    if lows:
+        tmp, kb = np.empty_like(base), np.empty_like(base, bool)
+        keep = np.equal(np.bitwise_and(base, single, out=tmp), 0)
+        for low in lows:
+            if not low & single:
+                keep &= np.not_equal(np.bitwise_and(base, low, out=tmp), low, out=kb)
+        masks = base[keep]
+        del tmp, kb, keep  # so that the filter and count buffers never coexist
     if len(masks) == 0:
         return -1, [], hi - lo, False
 
@@ -214,16 +224,17 @@ def _scan_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
     # The MIS's of an r-graph form an antichain, so by Sperner's theorem a
     # count is at most C(n, n // 2): 70 at n <= 8, 20 for 3-graphs at n <= 6.
     counts = np.zeros(len(masks), dtype=np.uint8)
+    tmp, kb, ok = np.empty_like(masks), np.empty_like(masks, bool), np.empty_like(masks, bool)
     for inside, crosses in _subset_tables(n, r, sizes):
         if inside & lo:
             continue  # an inside slot is an edge of every graph in the chunk
         need, either = _chunk_crosses(crosses, lo, low_bits)
         if need < 0:
             continue
-        ok = (masks & ((inside & low_bits) | need)) == need
+        np.equal(np.bitwise_and(masks, (inside & low_bits) | need, out=tmp), need, out=ok)
         for cm in either:
-            ok &= (masks & cm) != 0
-        counts += ok
+            ok &= np.not_equal(np.bitwise_and(masks, cm, out=tmp), 0, out=kb)
+        np.add(counts, ok.view(np.uint8), out=counts)
     best = int(counts.max())
     witnesses: list[int] = []
     truncated = False
@@ -236,20 +247,14 @@ def _scan_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
     return best, witnesses, hi - lo, truncated
 
 
-def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
-    """Exact maximum MIS count over all (filtered) labeled r-graphs on n vertices.
-
-    Refuses scans beyond ``SCAN_BITS_CAP`` edge bits rather than running
-    forever.  Witnesses, when requested, are deduplicated up to isomorphism
-    and returned as ``canonical_form`` text (graph6, or JSON for 3-graphs).
-    """
+def _check_spec(spec: SearchSpec) -> None:
+    """Raise ValueError for a spec ``exhaustive_m`` cannot scan."""
     n, k, t, r = spec.n, spec.k, spec.t, spec.r
     if r not in (2, 3):
         raise ValueError(f"unsupported uniformity r={r}")
     if n < 1:
         raise ValueError("need n >= 1")
-    nbits = comb(n, r)
-    if nbits > SCAN_BITS_CAP:
+    if comb(n, r) > SCAN_BITS_CAP:
         top = next(m for m in count(r) if comb(m + 1, r) > SCAN_BITS_CAP)
         raise ValueError(f"scan capped at n <= {top} for r={r}, got {n}")
     if k is not None and not 0 <= k <= n:
@@ -259,7 +264,17 @@ def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
     if spec.collect_witnesses and spec.witness_cap < 1:
         raise ValueError(f"witness cap must be >= 1, got {spec.witness_cap}")
 
-    total = 1 << nbits
+
+def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
+    """Exact maximum MIS count over all (filtered) labeled r-graphs on n vertices.
+
+    Refuses scans beyond ``SCAN_BITS_CAP`` edge bits rather than running
+    forever.  Witnesses, when requested, are deduplicated up to isomorphism
+    and returned as ``canonical_form`` text (graph6, or JSON for 3-graphs).
+    """
+    _check_spec(spec)
+    n, k, t, r = spec.n, spec.k, spec.t, spec.r
+    total = 1 << comb(n, r)
     chunk = min(total, 1 << _CHUNK_EDGE_BITS)
     # Collect enough raw witnesses per chunk that ties are not silently lost
     # before canonical deduplication.
@@ -501,15 +516,19 @@ def verify_theorem(
     for axis in axes:
         if ranges[axis] is None:
             raise ValueError(f"{theorem} needs a {axis} range")
-    rows: list[VerifyRow] = []
+    # Check every row's spec and closed form before any scan runs.
+    planned = []
     for values in product(*(ranges[axis] for axis in axes)):
         spec = build(*values)
         if spec is not None:
-            computed = exhaustive_m(spec, workers=workers).value
-            rows.append(VerifyRow(tuple(zip(axes, values)), computed, formula(*values)))
-    if not rows:
+            _check_spec(spec)
+            planned.append((tuple(zip(axes, values)), spec, formula(*values)))
+    if not planned:
         raise ValueError(f"no {theorem} row in the given ranges")
-    return rows
+    return [
+        VerifyRow(params, exhaustive_m(spec, workers=workers).value, value)
+        for params, spec, value in planned
+    ]
 
 
 def uniqueness_check(

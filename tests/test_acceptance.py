@@ -116,6 +116,31 @@ def test_triangle_free_two_mis_unique_witness_at_n8():
     )
 
 
+def test_triangle_free_two_mis_census_chunks_at_n8():
+    # The census chunk by chunk, as exhaustive_m cuts it: how many of the
+    # 4096 chunks reach each best (-1: the clique filter empties it) and how
+    # many raw witness masks each best collects.  A kernel change that moves
+    # any chunk's best or hits shows here even when the global value holds.
+    from collections import Counter
+
+    from mislab.search import _scan_chunk
+
+    width, raw_cap = 16, 4096
+    bests, raw = Counter(), Counter()
+    for lo in range(0, 1 << comb(8, 2), 1 << width):
+        best, masks, scanned, truncated = _scan_chunk(
+            (8, 2, 2, 3, lo, lo + (1 << width), True, raw_cap)
+        )
+        assert scanned == 1 << width and not truncated, lo
+        bests[best] += 1
+        raw[best] += len(masks)
+    ok = (
+        bests == {-1: 2685, 1: 57, 2: 713, 3: 303, 4: 338}
+        and raw == {-1: 0, 1: 6300, 2: 17906, 3: 2770, 4: 840}
+    )
+    check(f"n=8 census chunks: bests {dict(bests)}, raw witnesses {dict(raw)}", ok)
+
+
 def test_triangle_free_two_mis_nonuniqueness_at_n6():
     rep = uniqueness_check(6)
     got = set(rep.witnesses)

@@ -281,6 +281,25 @@ def test_verify_table_and_exit(capsys):
     assert code == 0
 
 
+def test_verify_rejects_a_bad_row_before_scanning_any(capsys, monkeypatch):
+    # A row past the scan cap, or one whose closed form is undefined, fails
+    # the whole range before the rows ahead of it are scanned: moon-moser
+    # 5..9 would otherwise run the full n=8 census first.
+    import mislab.search as search
+
+    scans = []
+    monkeypatch.setattr(search, "exhaustive_m", lambda spec, workers=1: scans.append(spec))
+    cases = [
+        ("5..9", "scan capped at n <= 8 for r=2, got 9"),
+        ("1..3", "need n >= 2"),
+    ]
+    for n, message in cases:
+        code, out, err = run(["verify", "--theorem", "moon-moser", "--n", n, "--threads", "1"],
+                             capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), n
+    assert scans == []
+
+
 def test_search_hypergraph_mode(capsys):
     code, out, _ = run(
         ["search", "--n", "5", "--k", "2", "--t", "4", "--r", "3",

@@ -483,20 +483,32 @@ def test_monotonicity_violations_are_exactly_the_known_ones():
     assert flagged == {(3, 1, 3), (4, 1, 4), (3, 2, 6)}
 
 
-def _naive_chunk(n, k, t, lo, hi):
+def _naive_chunk(n, k, t, lo, hi, r=2):
     """The best count over the masks in [lo, hi) that pass the clique filter,
-    and the masks reaching it, ascending, by a per-graph subset scan."""
+    and the masks reaching it, ascending, by a per-r-graph subset scan."""
     from itertools import combinations
 
-    from naive import naive_has_clique, naive_mis_list, naive_mis_profile
+    from naive import hyper_contains_complete, naive_has_clique, naive_hyper_count_k_mis
+    from naive import naive_mis_list, naive_mis_profile
 
-    pairs = list(combinations(range(n), 2))
+    slots = list(combinations(range(n), r))
     best, hits = -1, []
     for mask in range(lo, hi):
-        g = Graph.from_edges(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
-        if t is not None and naive_has_clique(g, t):
-            continue
-        value = len(naive_mis_list(g, k)) if k is not None else sum(naive_mis_profile(g).values())
+        edges = [s for b, s in enumerate(slots) if mask >> b & 1]
+        if r == 3:
+            h = Hypergraph(n, tuple(edges))
+            if t is not None and hyper_contains_complete(h, t, 3):
+                continue
+            sizes = [k] if k is not None else range(n + 1)
+            value = sum(naive_hyper_count_k_mis(h, size) for size in sizes)
+        else:
+            g = Graph.from_edges(n, edges)
+            if t is not None and naive_has_clique(g, t):
+                continue
+            if k is not None:
+                value = len(naive_mis_list(g, k))
+            else:
+                value = sum(naive_mis_profile(g).values())
         if value > best:
             best, hits = value, []
         if value == best:
@@ -525,6 +537,43 @@ def test_narrow_scan_kernel_matches_naive_counts_on_high_chunks(monkeypatch):
                 assert got == (best, hits, 1 << width, False), (lo, t, k)
                 got = search._scan_chunk((n, 2, k, t, lo, hi, True, 3))
                 assert got == (best, hits[:3], 1 << width, len(hits) > 3), (lo, t, k)
+
+
+def test_keep_mask_matches_naive_counts_on_chosen_chunks():
+    # A chunk's active straddlers build one keep-mask: their single-slot lows
+    # merged into one compare, and each multi-slot low that misses that
+    # merged mask applied on its own.  Width-8 chunks picked from the clique
+    # filter's own split put each case to work, raw-cap truncation included.
+    import mislab.search as search
+
+    width = 8
+
+    def chunks(n, r, t):
+        killers, straddlers, _ = search._clique_filter(n, r, t, width)
+        for lo in range(0, 1 << math.comb(n, r), 1 << width):
+            if not any(lo & km == km for km in killers):
+                yield lo, [low for high, low in straddlers if lo & high == high]
+
+    def multi_meets_single(lows):
+        single = sum({low for low in lows if low.bit_count() == 1})
+        return any(low.bit_count() > 1 and low & single for low in lows)
+
+    picked = [
+        (7, 2, 4, next(lo for lo, lows in chunks(7, 2, 4)
+                       if any(low.bit_count() == 5 for low in lows))),
+        (6, 3, 4, next(lo for lo, lows in chunks(6, 3, 4)
+                       if any(low.bit_count() > 1 for low in lows))),
+        (7, 2, 3, next(lo for lo, lows in chunks(7, 2, 3) if multi_meets_single(lows))),
+        (7, 2, 4, [lo for lo, lows in chunks(7, 2, 4) if not lows][-1]),
+    ]
+    for n, r, t, lo in picked:
+        hi = lo + (1 << width)
+        for k in (2, None):
+            best, hits = _naive_chunk(n, k, t, lo, hi, r)
+            got = search._scan_chunk((n, r, k, t, lo, hi, True, 1 << width))
+            assert got == (best, hits, 1 << width, False), (n, r, t, lo, k)
+            got = search._scan_chunk((n, r, k, t, lo, hi, True, 3))
+            assert got == (best, hits[:3], 1 << width, len(hits) > 3), (n, r, t, lo, k)
 
 
 def test_width_16_chunk_matches_naive_counts():
