@@ -24,7 +24,6 @@ from .constructions import (
 from .engine import (
     ReductionResult,
     TBoundCheck,
-    check_k5_hypothesis,
     count_all_mis,
     count_k_mis,
     count_transversal_mis,
@@ -41,11 +40,8 @@ from .formats import (
     graph6_encode,
     hypergraph_from_json,
     hypergraph_to_json,
-    matching_from_json,
-    matching_to_json,
 )
 from .graphs import (
-    FractionalMatching,
     Graph,
     Hypergraph,
     PartitionedGraph,
@@ -58,8 +54,6 @@ from .graphs import (
     is_maximal_independent,
     partite_complement,
     shadow,
-    total_weight,
-    validate_fractional_matching,
 )
 from .search import (
     SearchReport,

@@ -1,7 +1,7 @@
 """Command-line front end: construct, count, search, verify.
 
 Reports are reproducible: every JSON report embeds the package version and
-the full run configuration (seed and thread count included), keys are
+the full run configuration (thread count included), keys are
 sorted, and no timestamps appear, so identical configurations produce
 byte-identical files.
 
@@ -89,8 +89,6 @@ def _report_json(args: argparse.Namespace, command: str, result: dict) -> str:
         "version": __version__,
         "command": command,
         "config": config,
-        "seed": getattr(args, "seed", 0),
-        "threads": getattr(args, "threads", 1),
         "result": result,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -304,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, fmt_choices: tuple[str, ...], fmt_default: str) -> None:
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--format", choices=fmt_choices, default=fmt_default)
-        p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in reports")
         p.add_argument("--threads", type=int, default=_default_threads(),
                        help="worker count (default: MIS_LAB_THREADS or cpu count)")
 

@@ -11,6 +11,7 @@ give large families of maximal independent sets in the blowup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
@@ -18,7 +19,6 @@ from math import comb, prod
 from .engine import transversal_mis_list
 from .formats import hypergraph_from_json, hypergraph_to_json
 from .graphs import (
-    FractionalMatching,
     Graph,
     Hypergraph,
     PartitionedGraph,
@@ -27,7 +27,6 @@ from .graphs import (
     disjoint_union,
     iter_bits,
     partite_complement,
-    validate_fractional_matching,
     vertex_mask,
 )
 
@@ -266,11 +265,14 @@ class BlowupSpec:
     def from_json(cls, obj: dict) -> BlowupSpec:
         try:
             template = hypergraph_from_json(obj["template"])
-            sizes = tuple(int(s) for s in obj["sizes"])
+            sizes = obj["sizes"]
             kind = str(obj.get("gadget", "auto"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad blowup spec JSON: {exc}") from exc
-        return cls(template, sizes, kind)
+        # As in hypergraph_from_json, floats and strings are rejected, not truncated.
+        if not (isinstance(sizes, list) and all(isinstance(s, int) for s in sizes)):
+            raise ValueError("bad blowup spec JSON: sizes must be a list of integers")
+        return cls(template, tuple(int(s) for s in sizes), kind)
 
 
 def _iroot(x: int, q: int) -> int:
@@ -290,27 +292,27 @@ def _iroot(x: int, q: int) -> int:
 
 
 def blowup_spec_from_matching(
-    h: Hypergraph, m: FractionalMatching, n: int, gadget_kind: str = "auto"
+    h: Hypergraph, weights: tuple[int | Fraction, ...], n: int, gadget_kind: str = "auto"
 ) -> BlowupSpec:
     """Gadget sizes floor(n^{w(e)}) from a fractional matching, exactly.
 
-    Weights p/q turn into the integer q-th root of n^p, so no floating
-    point enters the size computation.  The per-vertex load condition of
-    the matching makes the per-vertex size products come out <= n.
+    ``weights`` holds one nonnegative int or Fraction per template edge, in
+    edge order; the load at each vertex (the sum of its edges' weights) must
+    be at most 1.  A weight p/q turns into the integer q-th root of n^p, so
+    no floating point enters the check or the sizes, and each vertex's size
+    product is at most n^load <= n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if not validate_fractional_matching(h, m):
-        raise ValueError("per-vertex load exceeds 1")
-    sizes = []
-    for i in range(len(h.edges)):
-        w = m.weight_of(i)
-        sizes.append(_iroot(n**w.numerator, w.denominator) if w > 0 else 1)
+    if len(weights) != len(h.edges):
+        raise ValueError(f"need one weight per template edge, got {len(weights)}")
+    if not all(isinstance(w, (int, Fraction)) and w >= 0 for w in weights):
+        raise ValueError("weights must be nonnegative ints or Fractions")
     for x in range(h.n):
-        load = prod(sizes[i] for i in h.incident_edges(x))
-        if load > n:
-            raise ValueError(f"size product {load} at vertex {x} exceeds n={n}")
-    return BlowupSpec(h, tuple(sizes), gadget_kind)
+        if sum(weights[i] for i in h.incident_edges(x)) > 1:
+            raise ValueError(f"fractional matching load at vertex {x} exceeds 1")
+    sizes = tuple(_iroot(n**w.numerator, w.denominator) for w in weights)
+    return BlowupSpec(h, sizes, gadget_kind)
 
 
 def _edge_gadget(r: int, size: int, kind: str) -> PartitionedGraph:

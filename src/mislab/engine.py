@@ -301,23 +301,6 @@ def transversal_reduction(
     )
 
 
-def check_k5_hypothesis(pg: PartitionedGraph) -> bool:
-    """For a 5-part graph, check that parts (1,3), (2,4) and (2,5) span no edges.
-
-    Indices are 1-based part positions; "no edges" covers pairs inside each
-    part as well as pairs across the two named parts.
-    """
-    if len(pg.parts) != 5:
-        raise ValueError(f"expected 5 parts, got {len(pg.parts)}")
-    masks = pg.part_masks()
-    for a, b in ((0, 2), (1, 3), (1, 4)):
-        union = masks[a] | masks[b]
-        for v in iter_bits(union):
-            if pg.graph.adj[v] & union:
-                return False
-    return True
-
-
 class TBoundCheck(NamedTuple):
     transversal_count: int
     vertex_count: int

@@ -8,16 +8,14 @@ Only the shortest header for n is accepted, and the last byte's padding bits
 must be zero.  The 8-byte header (``~~`` and 36 bits, for n > 258047) and any
 n above ``MAX_VERTICES`` raise ValueError.
 
-Hypergraphs serialize as ``{"n": int, "edges": [[int, ...], ...]}`` and
-fractional matchings as ``{"weights": [{"edge": i, "num": p, "den": q}, ...]}``.
+Hypergraphs serialize as ``{"n": int, "edges": [[int, ...], ...]}``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 
-from .graphs import MAX_VERTICES, FractionalMatching, Graph, Hypergraph
+from .graphs import MAX_VERTICES, Graph, Hypergraph
 
 
 def graph6_encode(g: Graph) -> bytes:
@@ -100,22 +98,3 @@ def hypergraph_from_json(obj: dict) -> Hypergraph:
     if not all(isinstance(v, int) for v in (n, *chain.from_iterable(edges))):
         raise ValueError("bad hypergraph JSON: n and every vertex must be integers")
     return Hypergraph.from_edges(int(n), ([int(v) for v in e] for e in edges))
-
-
-def matching_to_json(m: FractionalMatching) -> dict:
-    return {
-        "weights": [
-            {"edge": i, "num": w.numerator, "den": w.denominator} for i, w in m.weights
-        ]
-    }
-
-
-def matching_from_json(obj: dict) -> FractionalMatching:
-    try:
-        weights = {
-            int(row["edge"]): Fraction(int(row["num"]), int(row["den"]))
-            for row in obj["weights"]
-        }
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad fractional matching JSON: {exc}") from exc
-    return FractionalMatching.from_weights(weights)

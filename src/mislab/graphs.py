@@ -1,4 +1,4 @@
-"""Bitset-backed graphs, hypergraphs, vertex partitions, and fractional matchings.
+"""Bitset-backed graphs, hypergraphs and vertex partitions.
 
 Vertices are 0..n-1 everywhere.  Vertex sets travel as plain int bitmasks
 (bit v set <=> v is in the set); public predicates also accept any iterable
@@ -13,7 +13,6 @@ and graphs and hypergraphs pickle without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -381,52 +380,3 @@ def disjoint_union(gs: Iterable[Graph]) -> Graph:
         rows.extend(row << offset for row in g.adj)
         offset += g.n
     return Graph(offset, tuple(rows))
-
-
-@dataclass(frozen=True)
-class FractionalMatching:
-    """Nonnegative weight per hyperedge index; loads checked against a host."""
-
-    weights: tuple[tuple[int, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for idx, w in self.weights:
-            if idx in seen:
-                raise ValueError(f"duplicate weight for edge {idx}")
-            seen.add(idx)
-            if w < 0:
-                raise ValueError(f"negative weight on edge {idx}")
-
-    @classmethod
-    def from_weights(cls, weights: dict[int, Fraction | int]) -> FractionalMatching:
-        return cls(tuple(sorted((i, Fraction(w)) for i, w in weights.items())))
-
-    @classmethod
-    def uniform(cls, h: Hypergraph, w: Fraction | int) -> FractionalMatching:
-        return cls.from_weights({i: Fraction(w) for i in range(len(h.edges))})
-
-    def weight_of(self, idx: int) -> Fraction:
-        for i, w in self.weights:
-            if i == idx:
-                return w
-        return Fraction(0)
-
-
-def total_weight(m: FractionalMatching) -> Fraction:
-    return sum((w for _, w in m.weights), Fraction(0))
-
-
-def validate_fractional_matching(h: Hypergraph, m: FractionalMatching) -> bool:
-    """Check the per-vertex load condition sum of weights over edges at x <= 1.
-
-    Weight keys must be valid edge indices of h; an unknown index raises.
-    Exact rational arithmetic throughout, so ties at load 1 are accepted.
-    """
-    loads = [Fraction(0)] * h.n
-    for idx, w in m.weights:
-        if not 0 <= idx < len(h.edges):
-            raise ValueError(f"unknown edge index {idx}")
-        for v in h.edges[idx]:
-            loads[v] += w
-    return all(load <= 1 for load in loads)

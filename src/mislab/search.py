@@ -68,7 +68,6 @@ class SearchReport:
     spec: SearchSpec
     value: int
     witnesses: list[str] = field(default_factory=list)
-    formula_value: int | None = None
     graphs_scanned: int = 0
     truncated: bool = False
 
@@ -83,7 +82,6 @@ class SearchReport:
             },
             "value": self.value,
             "witnesses": sorted(self.witnesses),
-            "formula_value": self.formula_value,
             "graphs_scanned": self.graphs_scanned,
             "truncated": self.truncated,
         }

@@ -74,6 +74,10 @@ def test_construct_blowup_from_spec_file(capsys, tmp_path):
     code, out, _ = run(["construct", "blowup", "--spec", str(path)], capsys)
     assert code == 0
     assert graph6_decode(out.strip()).n == 20
+    for bad in ([2.9], ["3"], "23"):
+        path.write_text(json.dumps({"template": {"n": 2, "edges": [[0, 1]]}, "sizes": bad}))
+        code, out, err = run(["construct", "blowup", "--spec", str(path)], capsys)
+        assert code == 2 and out == "" and err.startswith("error: bad blowup spec JSON")
 
 
 def test_construct_json_report(capsys):
@@ -348,7 +352,7 @@ def test_verify_json_format(capsys):
 def test_reports_are_byte_identical(capsys, tmp_path):
     argv = [
         "search", "--n", "5", "--k", "2", "--t", "3", "--witnesses",
-        "--threads", "1", "--seed", "0", "--format", "json",
+        "--threads", "1", "--format", "json",
     ]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(argv + ["--out", str(a)]) == 0

@@ -12,8 +12,6 @@ import pytest
 
 from mislab import (
     BlowupSpec,
-    check_k5_hypothesis,
-    FractionalMatching,
     Graph,
     Hypergraph,
     PackingGraph,
@@ -176,7 +174,6 @@ def test_blowup_is_a_partitioned_graph():
     bw = tight_cycle_blowup(5, 3, 2)
     assert isinstance(bw, PartitionedGraph) and bw.pg is bw
     assert count_transversal_mis(bw) == count_transversal_mis(bw.pg) == bw.family_size() == 32
-    assert check_k5_hypothesis(bw)
     assert bw.part_masks() == tuple(sum(1 << v for v in p) for p in bw.parts)
     clone = pickle.loads(pickle.dumps(bw))
     assert clone == bw and clone.family_size() == 32
@@ -264,18 +261,41 @@ def test_blowup_spec_json_round_trip():
         BlowupSpec(tight_cycle(2, 4), (0,) * 4)
     with pytest.raises(ValueError):
         BlowupSpec(tight_cycle(2, 4), (1,) * 4, "nope")
+    # sizes must be a list of ints: no truncated floats, parsed strings or
+    # a string read as its characters
+    for bad in ([2.9], ["3"], "23"):
+        with pytest.raises(ValueError, match="sizes"):
+            BlowupSpec.from_json({"template": {"n": 2, "edges": [[0, 1]]}, "sizes": bad})
 
 
 def test_blowup_spec_from_matching():
     h = tight_cycle(2, 4)
-    m = FractionalMatching.uniform(h, Fraction(1, 2))
-    spec = blowup_spec_from_matching(h, m, 9)
+    spec = blowup_spec_from_matching(h, (Fraction(1, 2),) * 4, 9)
     assert spec.sizes == (3, 3, 3, 3)  # floor(9^(1/2))
     bw = blowup(spec)
     assert bw.graph.n <= 4 * 9
-    overload = FractionalMatching.uniform(h, Fraction(2, 3))
-    with pytest.raises(ValueError):
-        blowup_spec_from_matching(h, overload, 9)
+    assert blowup_spec_from_matching(h, (0,) * 4, 9).sizes == (1,) * 4
+    bad = [
+        (Fraction(2, 3),) * 4,  # load 4/3 at every vertex
+        (1, 1, 0, 0),  # load 2 at vertex 1
+        (Fraction(-1, 2),) + (0,) * 3,
+        (0.5,) * 4,
+        (Fraction(1, 2),) * 3,
+        (Fraction(1, 2),) * 5,
+    ]
+    for weights in bad:
+        with pytest.raises(ValueError):
+            blowup_spec_from_matching(h, weights, 9)
+    with pytest.raises(ValueError):  # load 3/2 per vertex
+        blowup_spec_from_matching(tight_cycle(3, 6), (Fraction(1, 2),) * 6, 8)
+    # each vertex of the r-uniform tight k-cycle lies in exactly r edges, so
+    # uniform weight 1/r loads every vertex exactly 1
+    for r in (2, 3, 4, 5):
+        for k in range(2 * r, 13):
+            h = tight_cycle(r, k)
+            assert all(len(h.incident_edges(x)) == r for x in range(k))
+            spec = blowup_spec_from_matching(h, (Fraction(1, r),) * k, 2**r)
+            assert spec.sizes == (2,) * k
 
 
 def test_iroot_is_exact_beyond_float_range():
@@ -294,10 +314,8 @@ def test_alternating_matching_blowup_on_even_cycle():
     # even cycles carry a family of fractional matchings; the alternating
     # 1/2-0 one produces parts of size 2 and 1 and a family of 2^(k/2)
     h = tight_cycle(2, 6)
-    m = FractionalMatching.from_weights(
-        {0: Fraction(1, 2), 2: Fraction(1, 2), 4: Fraction(1, 2)}
-    )
-    spec = blowup_spec_from_matching(h, m, 4)
+    half = Fraction(1, 2)
+    spec = blowup_spec_from_matching(h, (half, 0, half, 0, half, 0), 4)
     assert spec.sizes == (2, 1, 2, 1, 2, 1)
     bw = blowup(spec)
     assert bw.graph.n == 12

@@ -11,7 +11,6 @@ from mislab import (
     Graph,
     Hypergraph,
     PartitionedGraph,
-    check_k5_hypothesis,
     comatching,
     count_all_mis,
     count_k_mis,
@@ -246,17 +245,6 @@ def test_transversal_reduction_blowup():
 def test_transversal_reduction_no_mis_is_domain_error():
     with pytest.raises(ValueError):
         transversal_reduction(Graph.empty(3), 1, retries=5, seed=0)
-
-
-def test_k5_hypothesis_checker():
-    bw = tight_cycle_blowup(5, 3, 2)
-    assert check_k5_hypothesis(bw.pg)
-    k5 = PartitionedGraph.from_parts(Graph.complete(5), [(i,) for i in range(5)])
-    assert not check_k5_hypothesis(k5)
-    edgeless = PartitionedGraph.from_parts(Graph.empty(5), [(i,) for i in range(5)])
-    assert check_k5_hypothesis(edgeless)
-    with pytest.raises(ValueError):
-        check_k5_hypothesis(comatching(6))
 
 
 def test_tripartite_bound_check():

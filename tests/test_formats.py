@@ -3,20 +3,16 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from mislab import (
-    FractionalMatching,
     Graph,
     Hypergraph,
     graph6_decode,
     graph6_encode,
     hypergraph_from_json,
     hypergraph_to_json,
-    matching_from_json,
-    matching_to_json,
     tight_cycle,
 )
 from mislab.graphs import MAX_VERTICES
@@ -159,17 +155,3 @@ def test_hypergraph_json_bools_load_as_integers():
     h = hypergraph_from_json({"n": 3, "edges": [[False, True, 2]]})
     assert h == Hypergraph(3, ((0, 1, 2),))
     assert all(type(v) is int for e in h.edges for v in e)
-
-
-def test_matching_json_round_trip():
-    m = FractionalMatching.from_weights({0: Fraction(1, 3), 2: 1})
-    obj = matching_to_json(m)
-    assert obj == {
-        "weights": [
-            {"edge": 0, "num": 1, "den": 3},
-            {"edge": 2, "num": 1, "den": 1},
-        ]
-    }
-    assert matching_from_json(obj) == m
-    with pytest.raises(ValueError):
-        matching_from_json({"weights": [{"edge": 0, "num": 1, "den": 0}]})

@@ -1,15 +1,13 @@
-"""Core data model: predicates, complements, unions, fractional matchings."""
+"""Core data model: predicates, complements, unions."""
 
 from __future__ import annotations
 
 import pickle
 import random
-from fractions import Fraction
 
 import pytest
 
 from mislab import (
-    FractionalMatching,
     Graph,
     Hypergraph,
     PartitionedGraph,
@@ -25,8 +23,6 @@ from mislab import (
     partite_complement,
     shadow,
     tight_cycle,
-    total_weight,
-    validate_fractional_matching,
 )
 from naive import naive_has_clique, random_graph, random_mixed_hypergraph
 
@@ -266,33 +262,6 @@ def test_hypergraph_validation():
     assert h.edges[0] == (0, 1, 2)
     assert h.uniform(3)
     assert h.incident_edges(2) == (0, 1)
-
-
-def test_fractional_matching_loads():
-    tc36 = tight_cycle(3, 6)
-    half = FractionalMatching.uniform(tc36, Fraction(1, 2))
-    assert not validate_fractional_matching(tc36, half)  # load 3/2 per vertex
-    tc48 = tight_cycle(4, 8)
-    quarter = FractionalMatching.uniform(tc48, Fraction(1, 4))
-    assert validate_fractional_matching(tc48, quarter)
-    assert total_weight(quarter) == 2
-    zero = FractionalMatching.from_weights({})
-    assert validate_fractional_matching(tc36, zero)
-    assert total_weight(zero) == 0
-    with pytest.raises(ValueError):
-        validate_fractional_matching(tc36, FractionalMatching.from_weights({99: 1}))
-    with pytest.raises(ValueError):
-        FractionalMatching.from_weights({0: Fraction(-1, 2)})
-
-
-def test_uniform_tight_cycle_weighting_always_valid():
-    # each vertex of the r-uniform tight k-cycle lies in exactly r edges
-    for r in (2, 3, 4, 5):
-        for k in range(2 * r, 13):
-            h = tight_cycle(r, k)
-            w = FractionalMatching.uniform(h, Fraction(1, r))
-            assert validate_fractional_matching(h, w)
-            assert all(len(h.incident_edges(x)) == r for x in range(k))
 
 
 def test_star_hypergraph_maximality_definition():
