@@ -22,19 +22,29 @@ cut to the low bits), with uint8 counts: an r-graph's MIS's form an
 antichain, so by Sperner's theorem there are at most C(n, n // 2).  numpy
 is imported only inside the scan.
 
+Vertex relabellings that keep every low slot low map chunks onto chunks and
+keep each graph's MIS count and clique-freeness, so only the least chunk of
+each orbit is scanned for the value (as orderly generation keeps only
+orbit-least objects); ``graphs_scanned`` still counts every mask.  With
+witnesses, a second pass scans, in ascending order, every chunk whose orbit
+reached the best: the chunks that hold witnesses, each cut at its raw cap.
+
 Witnesses are deduplicated up to isomorphism by one canonical labelling
 for graphs and 3-graphs: the least sequence of edge columns over all
 relabelings, found by branch and bound with orbit pruning from the
 automorphisms that equal leaves reveal.  A graph's form is its least graph6
-string, a 3-graph's its edge-list JSON under that labelling.
+string, a 3-graph's its edge-list JSON under that labelling.  A raw witness
+whose smaller copy under one adjacent label swap was itself collected is
+skipped before the labelling runs, so it runs about once per class.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations, count, product
+from functools import lru_cache, partial
+from itertools import combinations, count, permutations, product
 from math import comb
 
 from .formats import graph6_encode
@@ -263,55 +273,171 @@ def _check_spec(spec: SearchSpec) -> None:
         raise ValueError(f"witness cap must be >= 1, got {spec.witness_cap}")
 
 
+@lru_cache(maxsize=None)
+def _stabiliser(n: int, r: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """Vertex permutations that keep every low slot (bit < ``width``) low.
+
+    Each maps a whole chunk of 2^width masks onto a whole chunk.  The
+    transpositions that keep the low slots low join the vertices into
+    blocks, and their products are every permutation of each block: the
+    group returned, identity first.  At n=8 and width 16 the blocks are
+    {0, 1}, {3, 4, 5} and {6, 7}, 24 permutations in all.
+    """
+    low = set(list(combinations(range(n), r))[:width])
+    block = list(range(n))
+    for i, j in combinations(range(n), 2):
+        swap = {i: j, j: i}
+        if all(tuple(sorted(swap.get(v, v) for v in s)) in low for s in low):
+            block = [block[i] if b == block[j] else b for b in block]
+    blocks = [[v for v in range(n) if block[v] == b] for b in sorted(set(block))]
+    group = []
+    for images in product(*(permutations(b) for b in blocks)):
+        perm = [0] * n
+        for b, image in zip(blocks, images):
+            for v, w in zip(b, image):
+                perm[v] = w
+        group.append(tuple(perm))
+    return tuple(group)
+
+
+@lru_cache(maxsize=None)
+def _orbit_least(n: int, r: int, width: int) -> tuple[int, ...]:
+    """Each chunk's orbit-least chunk under ``_stabiliser``, by chunk index.
+
+    A chunk's index is its fixed prefix shifted down by ``width``.  A vertex
+    relabelling keeps every graph's MIS count and K_t-freeness, so a chunk
+    reaches the same best as its orbit-least chunk.
+    """
+    import numpy as np
+    slots = list(combinations(range(n), r))
+    index = {s: b for b, s in enumerate(slots)}
+    chunks = np.arange(1 << (len(slots) - width), dtype=np.int64)
+    least = chunks.copy()
+    image = np.empty_like(chunks)
+    for perm in _stabiliser(n, r, width)[1:] if len(chunks) > 1 else ():
+        image[:] = 0
+        for j, s in enumerate(slots[width:]):
+            to = index[tuple(sorted(perm[v] for v in s))] - width
+            image |= (chunks >> j & 1) << to
+        np.minimum(least, image, out=least)
+    return tuple(least.tolist())
+
+
+@lru_cache(maxsize=None)
+def _adjacent_swaps(n: int, r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per i < n-1, the delta-swaps (shift, low bits) that swap labels i and i+1.
+
+    Swapping the labels exchanges each slot holding i but not i+1 with the
+    same slot holding i+1 instead, which sits higher in slot order; the pairs
+    are grouped by their bit distance.
+    """
+    bit_of = _slots(n, r)
+    swaps = []
+    for i in range(n - 1):
+        by_shift: dict[int, int] = {}
+        for s, bit in bit_of.items():
+            if i in s and i + 1 not in s:
+                shift = bit_of[tuple(sorted(i + 1 if v == i else v for v in s))].bit_length()
+                shift -= bit.bit_length()
+                by_shift[shift] = by_shift.get(shift, 0) | bit
+        swaps.append(tuple(by_shift.items()))
+    return tuple(swaps)
+
+
+def _swapped(mask: int, swap: tuple[tuple[int, int], ...]) -> int:
+    """The edge mask of the r-graph ``mask`` with one adjacent label pair swapped."""
+    for shift, low in swap:
+        x = (mask >> shift ^ mask) & low
+        mask ^= x | x << shift
+    return mask
+
+
+def _dedup_witnesses(n: int, r: int, width: int, cap: int, results) -> tuple[list[str], bool]:
+    """The witness classes and truncation flag from the best chunks' scans.
+
+    ``results`` are ``_scan_chunk`` results for every chunk at the best, in
+    ascending order.  Raw masks are canonicalised in that order until ``cap``
+    classes are seen; a raw mask after that, or a chunk cut by its raw cap,
+    marks the report truncated, and once both hold it is settled and the
+    rest is not read.  A mask is skipped when swapping one adjacent label
+    pair gives a smaller mask that was itself collected (its chunk was not
+    cut, or it lies at or below that chunk's last collected mask): that copy
+    of the class came earlier, so ``seen`` grows exactly as if every raw mask
+    were canonicalised.
+    """
+    swaps = _adjacent_swaps(n, r)
+    seen: set[str] = set()
+    cut: dict[int, int] = {}  # chunk index -> last collected mask, for cut chunks
+    truncated = False
+    for _, masks, _, chunk_cut in results:
+        if chunk_cut:
+            truncated = True
+            cut[masks[-1] >> width] = masks[-1]
+        for mask in masks:
+            if len(seen) >= cap:
+                truncated = True
+                break
+            if any(
+                image < mask and image <= cut.get(image >> width, image)
+                for image in (_swapped(mask, swap) for swap in swaps)
+            ):
+                continue
+            seen.add(canonical_form(graph_from_edge_mask(n, mask, r)).decode("ascii"))
+        if truncated and len(seen) >= cap:
+            break
+    return sorted(seen), truncated
+
+
 def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
     """Exact maximum MIS count over all (filtered) labeled r-graphs on n vertices.
 
     Refuses scans beyond ``SCAN_BITS_CAP`` edge bits rather than running
-    forever.  Witnesses, when requested, are deduplicated up to isomorphism
-    and returned as ``canonical_form`` text (graph6, or JSON for 3-graphs).
+    forever.  Only the orbit-least chunk of each ``_stabiliser`` orbit is
+    scanned for the value; ``graphs_scanned`` still counts every mask, as the
+    other chunks are relabelled copies.  Witnesses, when requested, come from
+    a second pass over every chunk whose orbit reaches the best, deduplicated
+    up to isomorphism and returned as ``canonical_form`` text (graph6, or
+    JSON for 3-graphs).
     """
     _check_spec(spec)
     n, k, t, r = spec.n, spec.k, spec.t, spec.r
-    total = 1 << comb(n, r)
-    chunk = min(total, 1 << _CHUNK_EDGE_BITS)
+    width = min(comb(n, r), _CHUNK_EDGE_BITS)
     # Collect enough raw witnesses per chunk that ties are not silently lost
     # before canonical deduplication.
     raw_cap = max(4 * spec.witness_cap, 4096) if spec.collect_witnesses else 0
-    jobs = [
-        (n, r, k, t, lo, min(lo + chunk, total), spec.collect_witnesses, raw_cap)
-        for lo in range(0, total, chunk)
-    ]
-    if workers > 1 and len(jobs) > 1:
+
+    def jobs(chunks, collect: bool) -> list[tuple]:
+        return [(n, r, k, t, c << width, c + 1 << width, collect, raw_cap) for c in chunks]
+
+    least = _orbit_least(n, r, width)
+    reps = [c for c, rep in enumerate(least) if rep == c]
+    pool = None
+    if workers > 1 and len(least) > 1:
         import multiprocessing
         # The scan is CPU-bound: workers beyond the chunks or the CPUs gain nothing.
-        with multiprocessing.Pool(min(workers, len(jobs), multiprocessing.cpu_count())) as pool:
-            results = pool.map(_scan_chunk, jobs)
-    else:
-        results = [_scan_chunk(j) for j in jobs]
-
-    best = max(res[0] for res in results)
-    if best < 0:
-        raise RuntimeError("clique filter eliminated every graph; bad filter?")
-    scanned = sum(res[2] for res in results)
-    # A chunk below the best holds no witness, so its raw cap loses none.
-    truncated = any(res[3] for res in results if res[0] == best)
-    witnesses: list[str] = []
-    if spec.collect_witnesses:
-        seen: set[str] = set()
-        for b, masks, _, _ in results:
-            if b != best:
-                continue
-            for mask in masks:
-                if len(seen) >= spec.witness_cap:
-                    truncated = True
-                    break
-                seen.add(canonical_form(graph_from_edge_mask(n, mask, r)).decode("ascii"))
-        witnesses = sorted(seen)
+        pool = multiprocessing.Pool(min(workers, len(least), multiprocessing.cpu_count()))
+    with pool or nullcontext():
+        results = (pool.map if pool else map)(_scan_chunk, jobs(reps, False))
+        bests = {c: res[0] for c, res in zip(reps, results)}
+        best = max(bests.values())
+        if best < 0:
+            raise RuntimeError("clique filter eliminated every graph; bad filter?")
+        witnesses: list[str] = []
+        truncated = False
+        if spec.collect_witnesses:
+            hits = jobs([c for c, rep in enumerate(least) if bests[rep] == best], True)
+            # Read in order, so the pass can stop early.  Eight chunks per
+            # round trip spare the pipe and keep the first results, and the
+            # work done past a stop, small.
+            scan = partial(pool.imap, chunksize=8) if pool else map
+            witnesses, truncated = _dedup_witnesses(
+                n, r, width, spec.witness_cap, scan(_scan_chunk, hits)
+            )
     return SearchReport(
         spec=spec,
         value=best,
         witnesses=witnesses,
-        graphs_scanned=scanned,
+        graphs_scanned=1 << comb(n, r),
         truncated=truncated,
     )
 

@@ -1,15 +1,20 @@
 """Naive reference implementations used to cross-check the fast paths.
 
 Everything here works from explicit edge lists and subset scans and stays
-deliberately independent of the package's bitmask machinery.
+deliberately independent of the package's bitmask machinery, except
+``reference_exhaustive_m``: it reuses the scan kernel and the canonical
+labelling to check how ``exhaustive_m`` plans its chunks and deduplicates
+its witnesses.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import comb
 
-from mislab import Graph, Hypergraph, PartitionedGraph
+from mislab import Graph, Hypergraph, PartitionedGraph, SearchReport, SearchSpec, canonical_form
 
 
 def naive_mis_list(g: Graph, k: int) -> list[int]:
@@ -198,3 +203,60 @@ def random_mixed_hypergraph(rng: random.Random, n: int, m: int) -> Hypergraph:
         if size <= n:
             edges.add(tuple(sorted(rng.sample(range(n), size))))
     return Hypergraph(n, tuple(sorted(edges)))
+
+
+def reference_exhaustive_m(spec: SearchSpec) -> SearchReport:
+    """``exhaustive_m`` as a plain loop: every chunk goes through the scan
+    kernel, and every raw witness mask at the best through ``canonical_form``.
+
+    The report is truncated when a chunk at the best was cut by its raw cap,
+    or when another raw mask follows the one that filled the witness cap.
+    """
+    from mislab import search
+
+    n, r = spec.n, spec.r
+    total = 1 << comb(n, r)
+    chunk = min(total, 1 << search._CHUNK_EDGE_BITS)
+    raw_cap = max(4 * spec.witness_cap, 4096) if spec.collect_witnesses else 0
+    results = _reference_chunks(n, r, spec.k, spec.t, chunk, spec.collect_witnesses, raw_cap)
+    best = max(res[0] for res in results)
+    witnesses, truncated = reference_witnesses(
+        n, r, spec.witness_cap, [res for res in results if res[0] == best]
+    )
+    return SearchReport(spec, best, witnesses, sum(res[2] for res in results), truncated)
+
+
+def reference_witnesses(n: int, r: int, cap: int, results) -> tuple[list[str], bool]:
+    """The canonical forms of the raw masks in chunk scan ``results``, in order.
+
+    Canonicalising stops at ``cap`` forms.  The result is truncated when a
+    chunk was cut by its raw cap, or when another raw mask follows the one
+    that filled the witness cap.
+    """
+    truncated = any(res[3] for res in results)
+    seen: set[str] = set()
+    for _, masks, _, _ in results:
+        for mask in masks:
+            if len(seen) >= cap:
+                truncated = True
+                break
+            seen.add(_reference_form(n, r, mask))
+    return sorted(seen), truncated
+
+
+# Both are pure; the caches only spare repeated work across witness caps.
+@lru_cache(maxsize=4)
+def _reference_chunks(n, r, k, t, chunk, collect, raw_cap) -> tuple:
+    from mislab import search
+
+    return tuple(
+        search._scan_chunk((n, r, k, t, lo, lo + chunk, collect, raw_cap))
+        for lo in range(0, 1 << comb(n, r), chunk)
+    )
+
+
+@lru_cache(maxsize=1 << 16)
+def _reference_form(n: int, r: int, mask: int) -> str:
+    from mislab import search
+
+    return canonical_form(search.graph_from_edge_mask(n, mask, r)).decode("ascii")

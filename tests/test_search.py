@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import random
 from itertools import combinations, permutations
 
@@ -28,7 +29,13 @@ from mislab import (
     verify_theorem,
 )
 from mislab.search import graph_from_edge_mask
-from naive import naive_hyper_canonical, random_graph, random_hypergraph3
+from naive import (
+    naive_hyper_canonical,
+    random_graph,
+    random_hypergraph3,
+    reference_exhaustive_m,
+    reference_witnesses,
+)
 
 
 def brute_canonical(g: Graph) -> bytes:
@@ -310,7 +317,6 @@ R3_WITNESS_SCANS = {
 }
 
 
-@pytest.mark.slow
 def test_3graph_witness_scans_keep_their_classes():
     # Every `search --r 3 --witnesses` spec up to n = 6: the canonical labelling
     # decides the witness strings, not which classes are found, how many, or
@@ -447,6 +453,179 @@ def test_3graph_scan_matches_per_graph_oracle_at_small_n(monkeypatch):
                         monkeypatch.setattr(search, "_CHUNK_EDGE_BITS", bits)
                         assert exhaustive_m(spec).to_json() == whole, (n, t, k, cap, bits)
                         monkeypatch.undo()
+
+
+def test_exhaustive_m_matches_the_reference_loop(monkeypatch):
+    # The orbit-least value pass, the witness pass over the chunks whose
+    # orbit reaches the best and the adjacent-swap pre-filter, against the
+    # plain loop that scans every chunk and canonicalises every raw witness:
+    # byte-identical reports, truncation and witness caps included.
+    import mislab.search as search
+
+    def same(spec, workers=1):
+        got = json.dumps(exhaustive_m(spec, workers=workers).to_json())
+        return got == json.dumps(reference_exhaustive_m(spec).to_json())
+
+    for bits in (3, 5, 16):
+        monkeypatch.setattr(search, "_CHUNK_EDGE_BITS", bits)
+        for r, top in ((2, 6), (3, 5)):
+            for n in range(1, top + 1):
+                for t in (None, r + 1, r + 2):
+                    for k in (None, *range(n + 1)):
+                        for cap in (1, 3, 64):
+                            spec = SearchSpec(n, k, t, r, collect_witnesses=True, witness_cap=cap)
+                            assert same(spec), (bits, r, n, t, k, cap)
+    monkeypatch.undo()
+    # At n=7 and k=0 every graph ties at 0 and every chunk is cut by its raw cap;
+    # the witness pass stops once the report is settled, and the pool it
+    # stops leaves no worker behind.
+    for cap in (1, 64):
+        spec = SearchSpec(7, k=0, collect_witnesses=True, witness_cap=cap)
+        assert reference_exhaustive_m(spec).truncated
+        for workers in (1, 2):
+            assert same(spec, workers), (cap, workers)
+            assert not multiprocessing.active_children()
+
+
+def _brute_stabiliser(n: int, r: int, width: int) -> set[tuple[int, ...]]:
+    low = set(list(combinations(range(n), r))[:width])
+    return {
+        perm
+        for perm in permutations(range(n))
+        if all(tuple(sorted(perm[v] for v in s)) in low for s in low)
+    }
+
+
+def test_orbit_group_is_the_low_slot_stabiliser():
+    import mislab.search as search
+
+    for r, top in ((2, 6), (3, 5)):
+        for n in range(1, top + 1):
+            for width in range(math.comb(n, r) + 1):
+                group = search._stabiliser(n, r, width)
+                assert group[0] == tuple(range(n)), (r, n, width)
+                assert len(set(group)) == len(group), (r, n, width)
+                assert set(group) == _brute_stabiliser(n, r, width), (r, n, width)
+    # At the real width, past the reach of n! brute force: every element
+    # keeps the low slots low.
+    for n, r, order in ((7, 2, None), (8, 2, 24), (6, 3, None)):
+        slots = list(combinations(range(n), r))
+        low = set(slots[:16])
+        group = search._stabiliser(n, r, 16)
+        assert order is None or len(group) == order
+        for perm in group:
+            assert all(tuple(sorted(perm[v] for v in s)) in low for s in low), (n, r, perm)
+
+
+def test_orbit_least_chunks_match_brute_force_orbits():
+    import mislab.search as search
+
+    for n, r, width in ((5, 2, 3), (5, 2, 5), (6, 2, 8), (4, 3, 2), (5, 3, 3)):
+        slots = list(combinations(range(n), r))
+        index = {s: b for b, s in enumerate(slots)}
+        group = _brute_stabiliser(n, r, width)
+        want = []
+        for c in range(1 << (len(slots) - width)):
+            prefix = [s for b, s in enumerate(slots) if (c << width) >> b & 1]
+            want.append(min(
+                sum(1 << index[tuple(sorted(perm[v] for v in s))] for s in prefix) >> width
+                for perm in group
+            ))
+        assert list(search._orbit_least(n, r, width)) == want, (n, r, width)
+
+
+def test_census_scans_one_chunk_per_orbit(monkeypatch):
+    # At n=8 the 24 relabellings that keep the 16 low slots low leave 536
+    # orbit-least chunks of 4096, 185 of them past the prefix test; the
+    # witness pass scans the 338 chunks at best 4, in ascending order.
+    import mislab.search as search
+
+    least = search._orbit_least(8, 2, 16)
+    reps = [c for c, rep in enumerate(least) if rep == c]
+    killers, _, _ = search._clique_filter(8, 2, 3, 16)
+    past = [c for c in reps if not any(c << 16 & km == km for km in killers)]
+    assert (len(least), len(reps), len(past)) == (4096, 536, 185)
+    jobs, forms = [], []
+    scan, canon = search._scan_chunk, search.canonical_form
+    monkeypatch.setattr(search, "_scan_chunk", lambda job: jobs.append(job) or scan(job))
+    monkeypatch.setattr(search, "canonical_form", lambda g: forms.append(g) or canon(g))
+    rep = uniqueness_check(8)
+    assert (rep.value, rep.witnesses, rep.truncated) == (4, ["G?]uf?"], False)
+    assert rep.graphs_scanned == 1 << 28
+    value_pass = [job[4] >> 16 for job in jobs if not job[6]]
+    witness_pass = [job[4] >> 16 for job in jobs if job[6]]
+    assert value_pass == reps
+    assert len(witness_pass) == 338 and witness_pass == sorted(witness_pass)
+    assert len(forms) == 1
+
+
+def test_adjacent_swaps_relabel_and_keep_the_least_copy(monkeypatch):
+    # Each delta-swap is the relabelling i <-> i+1, and the least labelled
+    # copy of a class always passes the pre-filter, so it is canonicalised.
+    import mislab.search as search
+
+    rng = random.Random(47)
+    for r in (2, 3):
+        for _ in range(30):
+            n = rng.randint(r, 6)
+            slots = list(combinations(range(n), r))
+            bit_of = {s: 1 << b for b, s in enumerate(slots)}
+            mask = rng.randrange(1 << len(slots))
+            g = graph_from_edge_mask(n, mask, r)
+            edges = list(g.edges()) if r == 2 else list(g.edges)
+
+            def relabelled(perm):
+                return sum(bit_of[tuple(sorted(perm[v] for v in e))] for e in edges)
+
+            swaps = search._adjacent_swaps(n, r)
+            assert len(swaps) == n - 1
+            for i, swap in enumerate(swaps):
+                perm = list(range(n))
+                perm[i], perm[i + 1] = i + 1, i
+                assert search._swapped(mask, swap) == relabelled(perm), (r, n, mask, i)
+            copies = sorted({relabelled(perm) for perm in permutations(range(n))})
+            forms = []
+            canon = search.canonical_form
+            monkeypatch.setattr(search, "canonical_form", lambda h: forms.append(h) or canon(h))
+            got = search._dedup_witnesses(n, r, len(slots), 64, [(0, copies, 0, False)])
+            monkeypatch.undo()
+            assert got == ([canon(g).decode("ascii")], False)
+            assert forms[0] == graph_from_edge_mask(n, copies[0], r), (r, n, mask)
+
+
+def test_prefilter_skips_only_collected_copies():
+    # Hand-made witness passes: every labelled copy of a few random classes,
+    # grouped into chunks in ascending order, some chunks cut by their raw
+    # cap at random points.  A mask whose smaller swapped copy was cut off
+    # must still be canonicalised, so the classes and the truncation flag
+    # are those of canonicalising every collected mask.
+    import mislab.search as search
+
+    rng = random.Random(53)
+    for _ in range(150):
+        r = rng.choice((2, 3))
+        n = rng.randint(r + 1, 5)
+        slots = list(combinations(range(n), r))
+        bit_of = {s: 1 << b for b, s in enumerate(slots)}
+        width = rng.randint(1, len(slots) - 1)
+        copies = set()
+        for _ in range(rng.randint(1, 4)):
+            mask = rng.randrange(1 << len(slots))
+            edges = [s for s in slots if mask & bit_of[s]]
+            copies |= {
+                sum(bit_of[tuple(sorted(perm[v] for v in e))] for e in edges)
+                for perm in permutations(range(n))
+            }
+        chunks: dict[int, list[int]] = {}
+        for mask in sorted(copies):
+            chunks.setdefault(mask >> width, []).append(mask)
+        results = []
+        for masks in chunks.values():
+            keep = rng.randint(1, len(masks)) if rng.random() < 0.5 else len(masks)
+            results.append((0, masks[:keep], 1 << width, keep < len(masks)))
+        cap = rng.randint(1, 5)
+        got = search._dedup_witnesses(n, r, width, cap, results)
+        assert got == reference_witnesses(n, r, cap, results), (r, n, width, cap)
 
 
 def test_graph_from_edge_mask_round_trip():
