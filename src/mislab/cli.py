@@ -1,9 +1,8 @@
 """Command-line front end: construct, count, search, verify.
 
 Reports are reproducible: every JSON report embeds the package version and
-the full run configuration (thread count included), keys are
-sorted, and no timestamps appear, so identical configurations produce
-byte-identical files.
+the run configuration but not the worker count, keys are sorted, and no
+timestamps appear, so identical configurations produce byte-identical files.
 
 Exit codes: 0 success, 2 bad input or usage, 3 structural violation
 (requested clique-freeness fails), 4 verification mismatch.
@@ -83,7 +82,7 @@ def _report_json(args: argparse.Namespace, command: str, result: dict) -> str:
     config = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "out") and v is not None
+        if k not in ("func", "out", "threads") and v is not None
     }
     doc = {
         "version": __version__,
@@ -302,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, fmt_choices: tuple[str, ...], fmt_default: str) -> None:
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--format", choices=fmt_choices, default=fmt_default)
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker count (default: MIS_LAB_THREADS or cpu count)")
 
     pc = sub.add_parser("construct", help="emit one of the library constructions")
     pc.add_argument("name", choices=tuple(CONSTRUCTIONS))
@@ -346,6 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--t", help="range like 3..5")
     common(pv, ("csv", "json"), "csv")
     pv.set_defaults(func=cmd_verify)
+    for p in (ps, pv):  # only the exhaustive scan runs workers
+        p.add_argument("--threads", type=int, default=_default_threads(),
+                       help="scan worker count (default: MIS_LAB_THREADS or cpu count)")
     return parser
 
 

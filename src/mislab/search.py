@@ -26,16 +26,17 @@ Vertex relabellings that keep every low slot low map chunks onto chunks and
 keep each graph's MIS count and clique-freeness, so only the least chunk of
 each orbit is scanned for the value (as orderly generation keeps only
 orbit-least objects); ``graphs_scanned`` still counts every mask.  With
-witnesses, a second pass scans, in ascending order, every chunk whose orbit
-reached the best: the chunks that hold witnesses, each cut at its raw cap.
+witnesses, a second pass reads, in ascending order, only the orbit-least
+chunks at the best: they hold the least labelled copy of every class at the
+best, and a report lists classes in the order of those copies.
 
 Witnesses are deduplicated up to isomorphism by one canonical labelling
 for graphs and 3-graphs: the least sequence of edge columns over all
 relabelings, found by branch and bound with orbit pruning from the
 automorphisms that equal leaves reveal.  A graph's form is its least graph6
-string, a 3-graph's its edge-list JSON under that labelling.  A raw witness
-whose smaller copy under one adjacent label swap was itself collected is
-skipped before the labelling runs, so it runs about once per class.
+string, a 3-graph's its edge-list JSON under that labelling.  A mask that
+one adjacent label swap makes smaller is not the least copy of its class
+and is skipped before the labelling runs, so it runs about once per class.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from itertools import combinations, count, permutations, product
+from functools import lru_cache
+from itertools import chain, combinations, count, permutations, product
 from math import comb
 
 from .formats import graph6_encode
@@ -75,6 +76,14 @@ class SearchSpec:
 
 @dataclass
 class SearchReport:
+    """A spec's best count and, if asked for, its witness classes.
+
+    With the classes at the best ordered by least labelled copy (smallest
+    edge mask), ``witnesses`` holds the canonical forms of the first
+    ``witness_cap`` and ``truncated`` says whether more exist.  Neither
+    depends on the chunk width, the worker count or any internal cap.
+    """
+
     spec: SearchSpec
     value: int
     witnesses: list[str] = field(default_factory=list)
@@ -198,21 +207,22 @@ def _chunk_crosses(crosses: tuple[int, ...], fixed: int, low_bits: int) -> tuple
     return need, either
 
 
-def _scan_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
-    """Scan edge masks in [lo, hi); returns (best, witness masks, scanned, truncated).
+def _scan_chunk(args: tuple) -> tuple[int, list[int]]:
+    """Scan edge masks in [lo, hi); returns (best, hits).
 
     [lo, hi) is an aligned block of 2^width masks, so every mask in it is
     ``lo`` (the chunk's fixed high bits) plus a low pattern below 2^width.
     The work runs on the low patterns only; each test against a mask is
-    first settled on the fixed part where it can be.
+    first settled on the fixed part where it can be.  ``hits`` is every mask
+    at the chunk's best, ascending, if ``collect`` is set, else empty.
     """
     import numpy as np
-    n, r, k, t, lo, hi, collect, raw_cap = args
+    n, r, k, t, lo, hi, collect = args
     width = (hi - lo).bit_length() - 1
     low_bits = (1 << width) - 1
     killers, straddlers, base = _clique_filter(n, r, t, width)
     if any(lo & km == km for km in killers):
-        return -1, [], hi - lo, False
+        return -1, []
     # Single-slot lows merge into one mask; a multi-slot low meeting it removes nothing more.
     lows = [low for high, low in straddlers if lo & high == high]
     single = sum({low for low in lows if not low & (low - 1)})
@@ -226,7 +236,7 @@ def _scan_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
         masks = base[keep]
         del tmp, kb, keep  # so that the filter and count buffers never coexist
     if len(masks) == 0:
-        return -1, [], hi - lo, False
+        return -1, []
 
     sizes = (k,) if k is not None else tuple(range(n + 1))
     # The MIS's of an r-graph form an antichain, so by Sperner's theorem a
@@ -244,15 +254,7 @@ def _scan_chunk(args: tuple) -> tuple[int, list[int], int, bool]:
             ok &= np.not_equal(np.bitwise_and(masks, cm, out=tmp), 0, out=kb)
         np.add(counts, ok.view(np.uint8), out=counts)
     best = int(counts.max())
-    witnesses: list[int] = []
-    truncated = False
-    if collect:
-        hits = masks[counts == best]
-        if len(hits) > raw_cap:
-            truncated = True
-            hits = hits[:raw_cap]
-        witnesses = [lo + int(x) for x in hits]
-    return best, witnesses, hi - lo, truncated
+    return best, [lo + int(x) for x in masks[counts == best]] if collect else []
 
 
 def _check_spec(spec: SearchSpec) -> None:
@@ -352,40 +354,30 @@ def _swapped(mask: int, swap: tuple[tuple[int, int], ...]) -> int:
     return mask
 
 
-def _dedup_witnesses(n: int, r: int, width: int, cap: int, results) -> tuple[list[str], bool]:
-    """The witness classes and truncation flag from the best chunks' scans.
+def _dedup_witnesses(n: int, r: int, cap: int, results) -> tuple[list[str], bool]:
+    """The first ``cap`` witness classes by least labelled copy, and whether more exist.
 
-    ``results`` are ``_scan_chunk`` results for every chunk at the best, in
-    ascending order.  Raw masks are canonicalised in that order until ``cap``
-    classes are seen; a raw mask after that, or a chunk cut by its raw cap,
-    marks the report truncated, and once both hold it is settled and the
-    rest is not read.  A mask is skipped when swapping one adjacent label
-    pair gives a smaller mask that was itself collected (its chunk was not
-    cut, or it lies at or below that chunk's last collected mask): that copy
-    of the class came earlier, so ``seen`` grows exactly as if every raw mask
-    were canonicalised.
+    ``results`` are the ``_scan_chunk`` results of the orbit-least chunks at
+    the best, in ascending order, so their masks come in ascending order and
+    hold the least copy of every class at the best (see ``exhaustive_m``).
+    A mask that one adjacent label swap makes smaller is not the least copy
+    of its class, which came earlier, so it is skipped before the labelling
+    runs.  Every other mask is canonicalised; a class is first seen at its
+    least copy, and the first class past ``cap`` settles the report as
+    truncated without reading further.
     """
     swaps = _adjacent_swaps(n, r)
     seen: set[str] = set()
-    cut: dict[int, int] = {}  # chunk index -> last collected mask, for cut chunks
-    truncated = False
-    for _, masks, _, chunk_cut in results:
-        if chunk_cut:
-            truncated = True
-            cut[masks[-1] >> width] = masks[-1]
+    for _, masks in results:
         for mask in masks:
-            if len(seen) >= cap:
-                truncated = True
-                break
-            if any(
-                image < mask and image <= cut.get(image >> width, image)
-                for image in (_swapped(mask, swap) for swap in swaps)
-            ):
+            if any(_swapped(mask, swap) < mask for swap in swaps):
                 continue
-            seen.add(canonical_form(graph_from_edge_mask(n, mask, r)).decode("ascii"))
-        if truncated and len(seen) >= cap:
-            break
-    return sorted(seen), truncated
+            form = canonical_form(graph_from_edge_mask(n, mask, r)).decode("ascii")
+            if form not in seen:
+                if len(seen) == cap:
+                    return sorted(seen), True
+                seen.add(form)
+    return sorted(seen), False
 
 
 def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
@@ -394,44 +386,48 @@ def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
     Refuses scans beyond ``SCAN_BITS_CAP`` edge bits rather than running
     forever.  Only the orbit-least chunk of each ``_stabiliser`` orbit is
     scanned for the value; ``graphs_scanned`` still counts every mask, as the
-    other chunks are relabelled copies.  Witnesses, when requested, come from
-    a second pass over every chunk whose orbit reaches the best, deduplicated
-    up to isomorphism and returned as ``canonical_form`` text (graph6, or
-    JSON for 3-graphs).
+    other chunks are relabelled copies.
+
+    Witnesses, when requested, follow the contract in ``SearchReport``.  The
+    least copy M of a class at the best lies in an orbit-least chunk: each g
+    in ``_stabiliser`` maps M to a copy g(M) >= M and M's chunk onto g(M)'s,
+    so no chunk in the orbit of M's chunk is smaller.  So a second pass reads
+    only the orbit-least chunks at the best, in ascending order, and stops at
+    the first class past the cap.  Proving a report complete costs every copy
+    at the best in those chunks: listing all 410 triangle-free graphs on 8
+    vertices (k=0) makes 2,730 ``canonical_form`` calls, the census 1.
     """
     _check_spec(spec)
     n, k, t, r = spec.n, spec.k, spec.t, spec.r
     width = min(comb(n, r), _CHUNK_EDGE_BITS)
-    # Collect enough raw witnesses per chunk that ties are not silently lost
-    # before canonical deduplication.
-    raw_cap = max(4 * spec.witness_cap, 4096) if spec.collect_witnesses else 0
 
     def jobs(chunks, collect: bool) -> list[tuple]:
-        return [(n, r, k, t, c << width, c + 1 << width, collect, raw_cap) for c in chunks]
+        return [(n, r, k, t, c << width, c + 1 << width, collect) for c in chunks]
 
-    least = _orbit_least(n, r, width)
-    reps = [c for c, rep in enumerate(least) if rep == c]
-    pool = None
-    if workers > 1 and len(least) > 1:
+    reps = [c for c, rep in enumerate(_orbit_least(n, r, width)) if rep == c]
+    size, pool = 1, None
+    if workers > 1 and len(reps) > 1:
         import multiprocessing
-        # The scan is CPU-bound: workers beyond the chunks or the CPUs gain nothing.
-        pool = multiprocessing.Pool(min(workers, len(least), multiprocessing.cpu_count()))
+        # The scan is CPU-bound: workers beyond the scanned chunks or the CPUs gain nothing.
+        size = min(workers, len(reps), multiprocessing.cpu_count())
+        pool = multiprocessing.Pool(size)
+    scan = pool.map if pool else map
     with pool or nullcontext():
-        results = (pool.map if pool else map)(_scan_chunk, jobs(reps, False))
-        bests = {c: res[0] for c, res in zip(reps, results)}
-        best = max(bests.values())
+        bests = [res[0] for res in scan(_scan_chunk, jobs(reps, False))]
+        best = max(bests)
         if best < 0:
             raise RuntimeError("clique filter eliminated every graph; bad filter?")
-        witnesses: list[str] = []
-        truncated = False
+        witnesses, truncated = [], False
         if spec.collect_witnesses:
-            hits = jobs([c for c, rep in enumerate(least) if bests[rep] == best], True)
-            # Read in order, so the pass can stop early.  Eight chunks per
-            # round trip spare the pipe and keep the first results, and the
-            # work done past a stop, small.
-            scan = partial(pool.imap, chunksize=8) if pool else map
+            at_best = [c for c, value in zip(reps, bests) if value == best]
+            # Pool-size windows through map: no task is in flight when the
+            # pass stops, so the pool's exit terminates only idle workers.
+            windows = (
+                scan(_scan_chunk, jobs(at_best[i : i + size], True))
+                for i in range(0, len(at_best), size)
+            )
             witnesses, truncated = _dedup_witnesses(
-                n, r, width, spec.witness_cap, scan(_scan_chunk, hits)
+                n, r, spec.witness_cap, chain.from_iterable(windows)
             )
     return SearchReport(
         spec=spec,

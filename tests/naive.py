@@ -1,10 +1,9 @@
 """Naive reference implementations used to cross-check the fast paths.
 
 Everything here works from explicit edge lists and subset scans and stays
-deliberately independent of the package's bitmask machinery, except
-``reference_exhaustive_m``: it reuses the scan kernel and the canonical
-labelling to check how ``exhaustive_m`` plans its chunks and deduplicates
-its witnesses.
+deliberately independent of the package's bitmask machinery.
+``reference_exhaustive_m`` uses only ``canonical_form`` from it, to name the
+isomorphism class of each graph it reports.
 """
 
 from __future__ import annotations
@@ -205,58 +204,82 @@ def random_mixed_hypergraph(rng: random.Random, n: int, m: int) -> Hypergraph:
     return Hypergraph(n, tuple(sorted(edges)))
 
 
+def _naive_profile(n: int, edges) -> tuple[int, ...]:
+    """MIS count by size (index 0..n) of the hypergraph with these edges.
+
+    A subset scan over vertex bitmasks: a set is independent when its set
+    minus its lowest vertex is and no edge inside it has that vertex as its
+    least, and maximal when adding any outside vertex breaks independence.
+    """
+    by_least: list[list[int]] = [[] for _ in range(n)]
+    for e in edges:
+        by_least[min(e)].append(sum(1 << v for v in e))
+    independent = [True] * (1 << n)
+    for s in range(1, 1 << n):
+        low = (s & -s).bit_length() - 1
+        independent[s] = independent[s & (s - 1)] and all(e & s != e for e in by_least[low])
+    counts = [0] * (n + 1)
+    for s in range(1 << n):
+        if independent[s] and all(s >> v & 1 or not independent[s | 1 << v] for v in range(n)):
+            counts[s.bit_count()] += 1
+    return tuple(counts)
+
+
+@lru_cache(maxsize=None)
+def _reference_profiles(n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """Every labelled r-graph on n vertices as (edges, MIS profile), by edge mask.
+
+    Bit b of an edge mask is the b-th r-subset in ``combinations`` order.
+    """
+    slots = list(combinations(range(n), r))
+    graphs = []
+    for mask in range(1 << len(slots)):
+        edges = tuple(s for b, s in enumerate(slots) if mask >> b & 1)
+        graphs.append((edges, _naive_profile(n, edges)))
+    return tuple(graphs)
+
+
+@lru_cache(maxsize=None)
+def _reference_hits(n: int, r: int, k: int | None, t: int | None) -> tuple[int, tuple[int, ...]]:
+    """The best count over the labelled r-graphs with no complete r-graph on t
+    vertices, and the edge masks reaching it, ascending."""
+    cliques = [set(combinations(group, r)) for group in combinations(range(n), t)] if t else []
+    best, hits = -1, []
+    for mask, (edges, profile) in enumerate(_reference_profiles(n, r)):
+        if any(clique <= set(edges) for clique in cliques):
+            continue
+        value = sum(profile) if k is None else profile[k]
+        if value > best:
+            best, hits = value, []
+        if value == best:
+            hits.append(mask)
+    return best, tuple(hits)
+
+
 def reference_exhaustive_m(spec: SearchSpec) -> SearchReport:
-    """``exhaustive_m`` as a plain loop: every chunk goes through the scan
-    kernel, and every raw witness mask at the best through ``canonical_form``.
+    """``exhaustive_m``'s report by its contract, without its scan or dedup.
 
-    The report is truncated when a chunk at the best was cut by its raw cap,
-    or when another raw mask follows the one that filled the witness cap.
+    The value is the best count over the naive MIS profiles of every
+    labelled r-graph that passes the clique filter.  Every mask at the best
+    is canonicalised in ascending order, which orders the classes by least
+    labelled copy; the witnesses are the first ``witness_cap`` classes, and
+    the report is truncated exactly when another class follows them.
     """
-    from mislab import search
-
     n, r = spec.n, spec.r
-    total = 1 << comb(n, r)
-    chunk = min(total, 1 << search._CHUNK_EDGE_BITS)
-    raw_cap = max(4 * spec.witness_cap, 4096) if spec.collect_witnesses else 0
-    results = _reference_chunks(n, r, spec.k, spec.t, chunk, spec.collect_witnesses, raw_cap)
-    best = max(res[0] for res in results)
-    witnesses, truncated = reference_witnesses(
-        n, r, spec.witness_cap, [res for res in results if res[0] == best]
-    )
-    return SearchReport(spec, best, witnesses, sum(res[2] for res in results), truncated)
-
-
-def reference_witnesses(n: int, r: int, cap: int, results) -> tuple[list[str], bool]:
-    """The canonical forms of the raw masks in chunk scan ``results``, in order.
-
-    Canonicalising stops at ``cap`` forms.  The result is truncated when a
-    chunk was cut by its raw cap, or when another raw mask follows the one
-    that filled the witness cap.
-    """
-    truncated = any(res[3] for res in results)
-    seen: set[str] = set()
-    for _, masks, _, _ in results:
-        for mask in masks:
-            if len(seen) >= cap:
-                truncated = True
+    best, hits = _reference_hits(n, r, spec.k, spec.t)
+    classes: dict[str, None] = {}
+    if spec.collect_witnesses:
+        for mask in hits:
+            classes[_reference_form(n, r, mask)] = None
+            if len(classes) > spec.witness_cap:
                 break
-            seen.add(_reference_form(n, r, mask))
-    return sorted(seen), truncated
+    witnesses = list(classes)[: spec.witness_cap]
+    truncated = len(classes) > spec.witness_cap
+    return SearchReport(spec, best, witnesses, 1 << comb(n, r), truncated)
 
 
-# Both are pure; the caches only spare repeated work across witness caps.
-@lru_cache(maxsize=4)
-def _reference_chunks(n, r, k, t, chunk, collect, raw_cap) -> tuple:
-    from mislab import search
-
-    return tuple(
-        search._scan_chunk((n, r, k, t, lo, lo + chunk, collect, raw_cap))
-        for lo in range(0, 1 << comb(n, r), chunk)
-    )
-
-
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=None)
 def _reference_form(n: int, r: int, mask: int) -> str:
-    from mislab import search
-
-    return canonical_form(search.graph_from_edge_mask(n, mask, r)).decode("ascii")
+    edges = _reference_profiles(n, r)[mask][0]
+    obj = Graph.from_edges(n, edges) if r == 2 else Hypergraph(n, edges)
+    return canonical_form(obj).decode("ascii")

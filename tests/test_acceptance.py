@@ -125,13 +125,10 @@ def test_triangle_free_two_mis_census_chunks_at_n8():
 
     from mislab.search import _scan_chunk
 
-    width, raw_cap = 16, 4096
+    width = 16
     bests, raw = Counter(), Counter()
     for lo in range(0, 1 << comb(8, 2), 1 << width):
-        best, masks, scanned, truncated = _scan_chunk(
-            (8, 2, 2, 3, lo, lo + (1 << width), True, raw_cap)
-        )
-        assert scanned == 1 << width and not truncated, lo
+        best, masks = _scan_chunk((8, 2, 2, 3, lo, lo + (1 << width), True))
         bests[best] += 1
         raw[best] += len(masks)
     ok = (

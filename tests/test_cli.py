@@ -361,6 +361,31 @@ def test_reports_are_byte_identical(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_reports_leave_the_worker_count_out(capsys, tmp_path):
+    # Only search and verify run workers, and no report names their count,
+    # so a report's bytes do not depend on the machine's cores.
+    path = tmp_path / "g.g6"
+    path.write_bytes(graph6_encode(Graph.cycle(5)) + b"\n")
+    runs = {
+        "construct": ["construct", "comatching", "--n", "6"],
+        "count": ["count", "--graph", str(path), "--k", "2"],
+        "search": ["search", "--n", "4", "--threads", "2"],
+        "verify": ["verify", "--theorem", "m3n2", "--n", "3..4", "--threads", "2"],
+    }
+    for argv in runs.values():
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0, argv
+        assert "threads" not in json.loads(out)["config"], argv
+    for command in ("construct", "count"):
+        try:
+            main(runs[command] + ["--threads", "1"])
+        except SystemExit as exc:
+            assert exc.code == 2
+        else:
+            raise AssertionError(f"{command} accepted --threads")
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+
+
 def test_thread_default_env_fallback(monkeypatch):
     from mislab.cli import _default_threads
 
@@ -445,8 +470,9 @@ class _SerialPool:
 
 
 def test_search_threads_are_capped_by_chunks_and_cpus(monkeypatch, capsys):
-    # n=7 scans 32 chunks.  A request for 100000 workers, by flag or by
-    # MIS_LAB_THREADS, starts no more than the chunks or the CPUs; the
+    # n=7 has 32 chunks, 14 of them orbit-least: only those are scanned for
+    # the value.  A request for 100000 workers, by flag or by
+    # MIS_LAB_THREADS, starts no more than those chunks or the CPUs; the
     # result is the serial one.  No real pool is started.
     import multiprocessing
 
@@ -456,7 +482,7 @@ def test_search_threads_are_capped_by_chunks_and_cpus(monkeypatch, capsys):
     code, out, _ = run(argv + ["--threads", "1"], capsys)
     assert code == 0 and _SerialPool.requested == []
     serial = json.loads(out)["result"]
-    for cpus, want in ((1000, 32), (2, 2)):
+    for cpus, want in ((1000, 14), (2, 2)):
         monkeypatch.setattr(multiprocessing, "cpu_count", lambda: cpus)
         code, out, _ = run(argv + ["--threads", "100000"], capsys)
         assert code == 0 and json.loads(out)["result"] == serial

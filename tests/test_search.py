@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 import random
 from itertools import combinations, permutations
 
@@ -34,7 +35,6 @@ from naive import (
     random_graph,
     random_hypergraph3,
     reference_exhaustive_m,
-    reference_witnesses,
 )
 
 
@@ -352,8 +352,8 @@ def test_verify_rows_all_match():
 
 def test_truncation_counts_only_chunks_that_reach_the_best():
     # Only the edgeless graph has the whole vertex set as an MIS.  Every other
-    # chunk ties far more masks than its raw cap at a lower value, and
-    # dropping those loses no witness.
+    # chunk ties thousands of masks at a lower value, and none of them is
+    # read for witnesses.
     for n, r, empty in ((7, 2, "F????"), (6, 3, '{"n":6,"edges":[]}')):
         rep = exhaustive_m(SearchSpec(n, k=n, r=r, collect_witnesses=True))
         assert (rep.value, rep.witnesses, rep.truncated) == (1, [empty], False)
@@ -456,10 +456,11 @@ def test_3graph_scan_matches_per_graph_oracle_at_small_n(monkeypatch):
 
 
 def test_exhaustive_m_matches_the_reference_loop(monkeypatch):
-    # The orbit-least value pass, the witness pass over the chunks whose
-    # orbit reaches the best and the adjacent-swap pre-filter, against the
-    # plain loop that scans every chunk and canonicalises every raw witness:
-    # byte-identical reports, truncation and witness caps included.
+    # The orbit-least value pass, the witness pass over the orbit-least
+    # chunks at the best and the adjacent-swap pre-filter, against the
+    # report contract computed from naive MIS profiles and canonical_form on
+    # every mask at the best: byte-identical reports at every chunk width,
+    # with 1 worker and, where there is more than one chunk, 2.
     import mislab.search as search
 
     def same(spec, workers=1):
@@ -475,16 +476,51 @@ def test_exhaustive_m_matches_the_reference_loop(monkeypatch):
                         for cap in (1, 3, 64):
                             spec = SearchSpec(n, k, t, r, collect_witnesses=True, witness_cap=cap)
                             assert same(spec), (bits, r, n, t, k, cap)
+                            if n == top and bits == 5:
+                                assert same(spec, workers=2), (bits, r, n, t, k, cap)
     monkeypatch.undo()
-    # At n=7 and k=0 every graph ties at 0 and every chunk is cut by its raw cap;
-    # the witness pass stops once the report is settled, and the pool it
-    # stops leaves no worker behind.
-    for cap in (1, 64):
-        spec = SearchSpec(7, k=0, collect_witnesses=True, witness_cap=cap)
-        assert reference_exhaustive_m(spec).truncated
-        for workers in (1, 2):
-            assert same(spec, workers), (cap, workers)
-            assert not multiprocessing.active_children()
+    assert not multiprocessing.active_children()
+
+
+def test_witness_reports_list_every_class_up_to_the_cap():
+    # Class counts from OEIS: A000088 (graphs) and A006785 (triangle-free
+    # graphs).  A report is truncated exactly when a class beyond the cap
+    # exists, whatever the scan's chunks hold.
+    def report(n, k, t=None, cap=64):
+        rep = exhaustive_m(SearchSpec(n, k=k, t=t, collect_witnesses=True, witness_cap=cap))
+        return len(rep.witnesses), rep.truncated
+
+    assert report(6, 0, cap=200) == (156, False)
+    assert report(7, 0, t=3, cap=107) == (107, False)
+    assert report(7, 0, t=3, cap=106) == (106, True)
+    assert report(5, 2, cap=1) == (1, False)
+
+
+def test_two_worker_witness_pass_never_hangs():
+    # The witness pass stops early here: every graph on 7 vertices ties at
+    # k=0, and the cap is one class.  Stopping must leave no task in flight,
+    # so the pool's exit never waits on a worker killed mid-send.  A hang
+    # shows as a timeout.
+    import subprocess
+    import sys
+
+    import mislab
+
+    code = (
+        "import multiprocessing\n"
+        "from mislab import SearchSpec, exhaustive_m\n"
+        "spec = SearchSpec(7, k=0, collect_witnesses=True, witness_cap=1)\n"
+        "for _ in range(120):\n"
+        "    rep = exhaustive_m(spec, workers=2)\n"
+        "    assert (rep.witnesses, rep.truncated) == (['F????'], True), rep\n"
+        "    assert not multiprocessing.active_children()\n"
+    )
+    src = os.path.dirname(os.path.dirname(mislab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _brute_stabiliser(n: int, r: int, width: int) -> set[tuple[int, ...]]:
@@ -537,7 +573,8 @@ def test_orbit_least_chunks_match_brute_force_orbits():
 def test_census_scans_one_chunk_per_orbit(monkeypatch):
     # At n=8 the 24 relabellings that keep the 16 low slots low leave 536
     # orbit-least chunks of 4096, 185 of them past the prefix test; the
-    # witness pass scans the 338 chunks at best 4, in ascending order.
+    # witness pass scans the 37 of them at best 4, in ascending order, and
+    # canonicalises one mask, the least copy of the one class.
     import mislab.search as search
 
     least = search._orbit_least(8, 2, 16)
@@ -555,13 +592,16 @@ def test_census_scans_one_chunk_per_orbit(monkeypatch):
     value_pass = [job[4] >> 16 for job in jobs if not job[6]]
     witness_pass = [job[4] >> 16 for job in jobs if job[6]]
     assert value_pass == reps
-    assert len(witness_pass) == 338 and witness_pass == sorted(witness_pass)
+    assert len(witness_pass) == 37 and witness_pass == sorted(witness_pass)
+    assert all(least[c] == c for c in witness_pass)
+    assert len(jobs) == 573
     assert len(forms) == 1
 
 
 def test_adjacent_swaps_relabel_and_keep_the_least_copy(monkeypatch):
     # Each delta-swap is the relabelling i <-> i+1, and the least labelled
-    # copy of a class always passes the pre-filter, so it is canonicalised.
+    # copy of a class always passes the pre-filter, so it is canonicalised
+    # first.
     import mislab.search as search
 
     rng = random.Random(47)
@@ -587,18 +627,19 @@ def test_adjacent_swaps_relabel_and_keep_the_least_copy(monkeypatch):
             forms = []
             canon = search.canonical_form
             monkeypatch.setattr(search, "canonical_form", lambda h: forms.append(h) or canon(h))
-            got = search._dedup_witnesses(n, r, len(slots), 64, [(0, copies, 0, False)])
+            got = search._dedup_witnesses(n, r, 64, [(0, copies)])
             monkeypatch.undo()
             assert got == ([canon(g).decode("ascii")], False)
             assert forms[0] == graph_from_edge_mask(n, copies[0], r), (r, n, mask)
 
 
-def test_prefilter_skips_only_collected_copies():
+def test_prefilter_skips_only_copies_above_their_least():
     # Hand-made witness passes: every labelled copy of a few random classes,
-    # grouped into chunks in ascending order, some chunks cut by their raw
-    # cap at random points.  A mask whose smaller swapped copy was cut off
-    # must still be canonicalised, so the classes and the truncation flag
-    # are those of canonicalising every collected mask.
+    # grouped into chunks, of which only the orbit-least ones are read, in
+    # ascending order.  The least copy of each class lies in one of them and
+    # passes the pre-filter, so the classes and the truncation flag are
+    # those of canonicalising every copy: the first `cap` classes by least
+    # copy, truncated exactly when more exist.
     import mislab.search as search
 
     rng = random.Random(53)
@@ -616,16 +657,18 @@ def test_prefilter_skips_only_collected_copies():
                 sum(bit_of[tuple(sorted(perm[v] for v in e))] for e in edges)
                 for perm in permutations(range(n))
             }
+        least = search._orbit_least(n, r, width)
         chunks: dict[int, list[int]] = {}
         for mask in sorted(copies):
-            chunks.setdefault(mask >> width, []).append(mask)
-        results = []
-        for masks in chunks.values():
-            keep = rng.randint(1, len(masks)) if rng.random() < 0.5 else len(masks)
-            results.append((0, masks[:keep], 1 << width, keep < len(masks)))
+            if least[mask >> width] == mask >> width:
+                chunks.setdefault(mask >> width, []).append(mask)
+        classes = list(dict.fromkeys(
+            canonical_form(graph_from_edge_mask(n, mask, r)).decode("ascii")
+            for mask in sorted(copies)
+        ))
         cap = rng.randint(1, 5)
-        got = search._dedup_witnesses(n, r, width, cap, results)
-        assert got == reference_witnesses(n, r, cap, results), (r, n, width, cap)
+        got = search._dedup_witnesses(n, r, cap, [(0, masks) for masks in chunks.values()])
+        assert got == (sorted(classes[:cap]), len(classes) > cap), (r, n, width, cap)
 
 
 def test_graph_from_edge_mask_round_trip():
@@ -712,17 +755,17 @@ def test_narrow_scan_kernel_matches_naive_counts_on_high_chunks(monkeypatch):
         for t in (None, 3):
             for k in (2, None):
                 best, hits = _naive_chunk(n, k, t, lo, hi)
-                got = search._scan_chunk((n, 2, k, t, lo, hi, True, 1 << width))
-                assert got == (best, hits, 1 << width, False), (lo, t, k)
-                got = search._scan_chunk((n, 2, k, t, lo, hi, True, 3))
-                assert got == (best, hits[:3], 1 << width, len(hits) > 3), (lo, t, k)
+                got = search._scan_chunk((n, 2, k, t, lo, hi, True))
+                assert got == (best, hits), (lo, t, k)
+                got = search._scan_chunk((n, 2, k, t, lo, hi, False))
+                assert got == (best, []), (lo, t, k)
 
 
 def test_keep_mask_matches_naive_counts_on_chosen_chunks():
     # A chunk's active straddlers build one keep-mask: their single-slot lows
     # merged into one compare, and each multi-slot low that misses that
     # merged mask applied on its own.  Width-8 chunks picked from the clique
-    # filter's own split put each case to work, raw-cap truncation included.
+    # filter's own split put each case to work.
     import mislab.search as search
 
     width = 8
@@ -749,10 +792,10 @@ def test_keep_mask_matches_naive_counts_on_chosen_chunks():
         hi = lo + (1 << width)
         for k in (2, None):
             best, hits = _naive_chunk(n, k, t, lo, hi, r)
-            got = search._scan_chunk((n, r, k, t, lo, hi, True, 1 << width))
-            assert got == (best, hits, 1 << width, False), (n, r, t, lo, k)
-            got = search._scan_chunk((n, r, k, t, lo, hi, True, 3))
-            assert got == (best, hits[:3], 1 << width, len(hits) > 3), (n, r, t, lo, k)
+            got = search._scan_chunk((n, r, k, t, lo, hi, True))
+            assert got == (best, hits), (n, r, t, lo, k)
+            got = search._scan_chunk((n, r, k, t, lo, hi, False))
+            assert got == (best, []), (n, r, t, lo, k)
 
 
 def test_width_16_chunk_matches_naive_counts():
@@ -762,7 +805,7 @@ def test_width_16_chunk_matches_naive_counts():
     lo, hi = 0b01101 << 16, 0b01110 << 16
     best, hits = _naive_chunk(7, 2, 3, lo, hi)
     assert best == 3 and hits
-    assert search._scan_chunk((7, 2, 2, 3, lo, hi, True, 1 << 16)) == (best, hits, 1 << 16, False)
+    assert search._scan_chunk((7, 2, 2, 3, lo, hi, True)) == (best, hits)
 
 
 def test_count_dtype_holds_the_sperner_bound(monkeypatch):
@@ -789,6 +832,6 @@ def test_count_dtype_holds_the_sperner_bound(monkeypatch):
             if bits > search.SCAN_BITS_CAP:
                 break
             width = min(bits, 8)
-            search._scan_chunk((n, r, None, None, 0, 1 << width, False, 0))
+            search._scan_chunk((n, r, None, None, 0, 1 << width, False))
             assert np.iinfo(dtypes[-1]).max >= math.comb(n, n // 2), (r, n, dtypes[-1])
     assert len(dtypes) == 8 + 6
