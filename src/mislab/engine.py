@@ -21,8 +21,13 @@ masks ``e & ~(1 << v)``.  The same leaf compare and skipped-vertex prune apply.
 The counters build none of these tables themselves: they read them from the
 immutable objects, which build each once, on first use (``Graph.closed``,
 ``Hypergraph.rest_masks``, ``PartitionedGraph.part_masks``).  Counting one
-graph at every k, or one subgraph under many random splits, then packs its
-masks once.
+graph at every k then packs its masks once.
+
+``transversal_reduction`` runs no counter per random split.  Every split's
+transversal MIS's come from one list, the k-MIS's of the kept subgraph with
+the chosen profile, so it lists those once, scores a split by filtering the
+list by its part masks, and stops at the first split that keeps the whole
+list, since no later split can beat it.
 """
 
 from __future__ import annotations
@@ -242,13 +247,20 @@ def transversal_reduction(
 
     Classifies every k-MIS by how it meets the greedy independent-set
     partition, keeps the most common profile, and randomly splits each of
-    its classes into as many parts as the profile dictates, retrying up to
-    ``retries`` times and keeping the split with the most transversal MIS's.
+    its classes into as many parts as the profile dictates, keeping the
+    first split with the most transversal MIS's.
+
+    A split's transversal MIS's are k-MIS's of the kept subgraph that meet
+    each kept class in exactly its profile count.  Call that list L: a split's
+    count T is the number of members of L that meet every part, so T <= |L|.
+    Splits are drawn until one reaches T = |L| or ``retries`` (a positive
+    int) have been drawn, so ``retries`` bounds the splits drawn from above;
+    the result is the one a run of all ``retries`` splits would keep.
     """
     if has_clique(g, 3):
         raise ValueError("graph contains a triangle")
-    if retries < 1:
-        raise ValueError("retries must be >= 1")
+    if isinstance(retries, bool) or not isinstance(retries, int) or retries < 1:
+        raise ValueError(f"retries must be a positive int, got {retries!r}")
     all_mis: list[int] = []
     enumerate_k_mis(g, k, all_mis.append)
     if not all_mis:
@@ -276,6 +288,14 @@ def transversal_reduction(
     ]
     sub_counts = [c for c in best_profile if c > 0]
 
+    # The list L of the docstring: it holds every split's transversal MIS's.
+    kept = [(vertex_mask(vs), c) for vs, c in zip(sub_classes, sub_counts)]
+    candidates: list[int] = []
+    enumerate_k_mis(sub, k, candidates.append)
+    candidates = [
+        s for s in candidates if all((s & m).bit_count() == c for m, c in kept)
+    ]
+
     rng = random.Random(seed)
     best_T = -1
     best_parts: list[list[int]] = []
@@ -284,9 +304,16 @@ def transversal_reduction(
         parts: list[list[int]] = []
         for vs, c in zip(sub_classes, sub_counts):
             parts.extend(_random_split(vs, c, rng))
-        T = count_transversal_mis(PartitionedGraph.from_parts(sub, parts))
+        hit = candidates
+        for p in parts:
+            pm = vertex_mask(p)
+            hit = [s for s in hit if s & pm]
+        T = len(hit)
         if T > best_T:
             best_T, best_parts, best_attempt = T, parts, attempt
+            # No split can beat the whole list, and a later tie never wins.
+            if T == len(candidates):
+                break
 
     met = best_T * (4 * k) ** k >= source_m
     return ReductionResult(

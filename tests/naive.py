@@ -3,7 +3,9 @@
 Everything here works from explicit edge lists and subset scans and stays
 deliberately independent of the package's bitmask machinery.
 ``reference_exhaustive_m`` uses only ``canonical_form`` from it, to name the
-isomorphism class of each graph it reports.
+isomorphism class of each graph it reports, and
+``reference_transversal_reduction`` only ``engine._random_split``, to draw
+the same random splits.
 """
 
 from __future__ import annotations
@@ -13,7 +15,16 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
 
-from mislab import Graph, Hypergraph, PartitionedGraph, SearchReport, SearchSpec, canonical_form
+from mislab import (
+    Graph,
+    Hypergraph,
+    PartitionedGraph,
+    ReductionResult,
+    SearchReport,
+    SearchSpec,
+    canonical_form,
+    engine,
+)
 
 
 def naive_mis_list(g: Graph, k: int) -> list[int]:
@@ -62,6 +73,72 @@ def naive_transversal_mis_list(pg: PartitionedGraph) -> list[int]:
     ``itertools.product`` over the parts sorted that way.
     """
     return _mis_masks(pg.graph, product(*sorted(pg.parts, key=len)))
+
+
+def reference_split_classes(
+    g: Graph, mis: list[int]
+) -> tuple[tuple[int, ...], Graph, list[list[int]], tuple[int, ...]]:
+    """The classes that ``transversal_reduction`` splits, from explicit edge sets.
+
+    ``mis`` lists g's k-MIS's in the counter's order.  The first seeds the
+    greedy partition: class j takes the neighbors of the j-th seed vertex that
+    no earlier class took, and the seed itself is the last class.  The profile
+    is the most common tuple of class meet counts, the least on ties.  Returns
+    the kept vertices (classes with a nonzero count), the subgraph they induce
+    relabelled in increasing order, the kept classes in new labels and the
+    full profile.
+    """
+    edges = set(g.edges())
+    first = [v for v in range(g.n) if mis[0] >> v & 1]
+    classes, taken = [], set(first)
+    for v in first:
+        cls = {u for u in range(g.n) if (min(u, v), max(u, v)) in edges} - taken
+        classes.append(cls)
+        taken |= cls
+    classes.append(set(first))
+    votes: dict[tuple[int, ...], int] = {}
+    for m in mis:
+        prof = tuple(sum(m >> v & 1 for v in cls) for cls in classes)
+        votes[prof] = votes.get(prof, 0) + 1
+    profile = min(votes, key=lambda p: (-votes[p], p))
+    keep = tuple(sorted(v for cls, c in zip(classes, profile) if c for v in cls))
+    new = {v: i for i, v in enumerate(keep)}
+    sub = Graph.from_edges(len(keep), [(new[u], new[v]) for u, v in edges if u in new and v in new])
+    kept = [sorted(new[v] for v in cls) for cls, c in zip(classes, profile) if c]
+    return keep, sub, kept, profile
+
+
+def reference_transversal_reduction(
+    g: Graph, k: int, retries: int, seed: int, mis: list[int] | None = None
+) -> ReductionResult:
+    """``transversal_reduction``'s result by its definition, with no early stop.
+
+    ``mis`` defaults to the naive k-MIS list.  Every one of the ``retries``
+    splits is drawn with ``engine._random_split`` from one ``Random(seed)``,
+    as the engine draws them, and scored by the naive transversal list; the
+    first split with the most transversal MIS's wins.
+    """
+    if mis is None:
+        mis = naive_mis_list(g, k)
+    keep, sub, kept, profile = reference_split_classes(g, mis)
+    counts = [c for c in profile if c]
+    rng = random.Random(seed)
+    best_T, best_parts, best_attempt = -1, [], 0
+    for attempt in range(1, retries + 1):
+        parts = [p for vs, c in zip(kept, counts) for p in engine._random_split(vs, c, rng)]
+        T = len(naive_transversal_mis_list(PartitionedGraph.from_parts(sub, parts)))
+        if T > best_T:
+            best_T, best_parts, best_attempt = T, parts, attempt
+    return ReductionResult(
+        subgraph=PartitionedGraph.from_parts(sub, best_parts),
+        vertex_map=keep,
+        achieved_T=best_T,
+        source_m=len(mis),
+        composition=profile,
+        retries_used=best_attempt,
+        seed=seed,
+        bound_met=best_T * (4 * k) ** k >= len(mis),
+    )
 
 
 def naive_has_clique(g: Graph, t: int) -> bool:

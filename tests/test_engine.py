@@ -16,6 +16,7 @@ from mislab import (
     count_k_mis,
     count_transversal_mis,
     disjoint_union,
+    engine,
     enumerate_k_mis,
     gadget,
     greedy_mis_partition,
@@ -43,6 +44,8 @@ from naive import (
     random_hypergraph3,
     random_mixed_hypergraph,
     random_triangle_free,
+    reference_split_classes,
+    reference_transversal_reduction,
 )
 
 
@@ -240,6 +243,89 @@ def test_transversal_reduction_blowup():
     assert res.source_m == count_k_mis(bw.graph, 5)
     assert res.bound_met
     assert res.achieved_T >= 1
+    # Cases whose best split is not the first one drawn.
+    pinned = {(5, 3, 3): (26, 243, 12), (6, 3, 3): (48, 729, 16), (7, 3, 3): (80, 2187, 13)}
+    for (k, t, m), want in pinned.items():
+        res = transversal_reduction(tight_cycle_blowup(k, t, m).graph, k, retries=100, seed=7)
+        assert (res.achieved_T, res.source_m, res.retries_used) == want, (k, t, m)
+
+
+def test_transversal_reduction_matches_the_reference():
+    # The reference scores every split with the naive transversal list and
+    # never stops early, so an early stop that drops a better split shows.
+    rng = random.Random(2024)
+    cases = 0
+    for _ in range(200):
+        n = rng.randint(4, 12)
+        g = random_triangle_free(rng, n, rng.random())
+        for k in range(1, n + 1):
+            mis = naive_mis_list(g, k)
+            if not mis:
+                continue
+            for retries in (1, 7, 100):
+                seed = rng.randrange(10**6)
+                want = reference_transversal_reduction(g, k, retries, seed, mis)
+                assert transversal_reduction(g, k, retries, seed) == want, (g, k, retries, seed)
+                cases += 1
+    assert cases > 1000
+    # The naive k-MIS list is out of reach at 45 vertices; the counter's list
+    # is checked against it, visit order included, on small graphs above.
+    for k, t, m in [(5, 3, 2), (7, 3, 2), (5, 3, 3)]:
+        g = tight_cycle_blowup(k, t, m).graph
+        mis: list[int] = []
+        enumerate_k_mis(g, k, mis.append)
+        want = reference_transversal_reduction(g, k, 100, 7, mis)
+        assert transversal_reduction(g, k, retries=100, seed=7) == want, (k, t, m)
+
+
+def test_transversal_reduction_draws_splits_until_one_keeps_the_whole_list(monkeypatch):
+    draws = []
+    split = engine._random_split
+
+    def counted(vs, blocks, rng):
+        draws.append(blocks)
+        return split(vs, blocks, rng)
+
+    monkeypatch.setattr(engine, "_random_split", counted)
+    rng = random.Random(77)
+    cases = [(tight_cycle_blowup(5, 3, 3).graph, 5, 100, 7)]
+    for _ in range(80):
+        n = rng.randint(4, 12)
+        g = random_triangle_free(rng, n, rng.random())
+        cases += [(g, k, r, rng.randrange(10**6)) for k in range(1, n + 1) for r in (1, 7, 100)]
+    stopped = ran_out = 0
+    for g, k, retries, seed in cases:
+        mis: list[int] = []
+        enumerate_k_mis(g, k, mis.append)
+        if not mis:
+            continue
+        draws.clear()
+        res = transversal_reduction(g, k, retries, seed)
+        _, sub, kept, profile = reference_split_classes(g, mis)
+        counts = [c for c in profile if c]
+        # Splits are drawn one class at a time, so every attempt draws len(kept) times.
+        assert len(draws) % len(kept) == 0
+        attempts = len(draws) // len(kept)
+        full = [
+            s for s in naive_mis_list(sub, k)
+            if all(sum(s >> v & 1 for v in cls) == c for cls, c in zip(kept, counts))
+        ]
+        assert res.achieved_T <= len(full)
+        if res.achieved_T == len(full):
+            assert attempts == res.retries_used
+            stopped += retries > res.retries_used
+        else:
+            assert attempts == retries
+            ran_out += retries > 1
+    assert stopped and ran_out
+
+
+def test_transversal_reduction_retries_must_be_a_positive_int():
+    g = comatching(6).graph
+    for retries in (0, -1, 2.5, 1.0, True, False, "3", None):
+        with pytest.raises(ValueError, match="retries"):
+            transversal_reduction(g, 2, retries=retries, seed=0)
+    assert transversal_reduction(g, 2, retries=1, seed=0).retries_used == 1
 
 
 def test_transversal_reduction_no_mis_is_domain_error():
