@@ -8,7 +8,6 @@ from .constructions import (
     PackingGraph,
     behrend_set,
     blowup,
-    blowup_spec_from_matching,
     c4_leaves_graph,
     comatching,
     disjoint_gadget_union,

@@ -11,7 +11,6 @@ give large families of maximal independent sets in the blowup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
@@ -275,46 +274,6 @@ class BlowupSpec:
         return cls(template, tuple(int(s) for s in sizes), kind)
 
 
-def _iroot(x: int, q: int) -> int:
-    """Integer floor of the q-th root of x >= 0, in exact integer arithmetic."""
-    if x < 0 or q < 1:
-        raise ValueError("need x >= 0 and q >= 1")
-    if x < 2 or q == 1:
-        return x
-    # 2^ceil(bits/q) lies above the root; integer Newton steps from above
-    # decrease strictly until they reach the floor.
-    r = 1 << -(-x.bit_length() // q)
-    while True:
-        s = ((q - 1) * r + x // r ** (q - 1)) // q
-        if s >= r:
-            return r
-        r = s
-
-
-def blowup_spec_from_matching(
-    h: Hypergraph, weights: tuple[int | Fraction, ...], n: int, gadget_kind: str = "auto"
-) -> BlowupSpec:
-    """Gadget sizes floor(n^{w(e)}) from a fractional matching, exactly.
-
-    ``weights`` holds one nonnegative int or Fraction per template edge, in
-    edge order; the load at each vertex (the sum of its edges' weights) must
-    be at most 1.  A weight p/q turns into the integer q-th root of n^p, so
-    no floating point enters the check or the sizes, and each vertex's size
-    product is at most n^load <= n.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if len(weights) != len(h.edges):
-        raise ValueError(f"need one weight per template edge, got {len(weights)}")
-    if not all(isinstance(w, (int, Fraction)) and w >= 0 for w in weights):
-        raise ValueError("weights must be nonnegative ints or Fractions")
-    for x in range(h.n):
-        if sum(weights[i] for i in h.incident_edges(x)) > 1:
-            raise ValueError(f"fractional matching load at vertex {x} exceeds 1")
-    sizes = tuple(_iroot(n**w.numerator, w.denominator) for w in weights)
-    return BlowupSpec(h, sizes, gadget_kind)
-
-
 def _edge_gadget(r: int, size: int, kind: str) -> PartitionedGraph:
     if kind == "auto":
         kind = "comatching" if r == 2 else "trivial"
@@ -331,14 +290,15 @@ class Blowup(PartitionedGraph):
 
     Part x holds one vertex per tuple of gadget-part choices over the edges
     at x, in lexicographic order (first incident edge most significant), so
-    the layout is reproducible.  ``gadget_mis[e]`` lists the transversal
-    MIS's of edge e's gadget as per-part local indices.
+    the layout is reproducible.  ``choices[e][i][a]`` is the mask of the
+    vertices of part ``e[i]`` that pick the a-th vertex of part i of edge
+    e's gadget.  ``gadget_mis[e]`` lists the transversal MIS's of edge e's
+    gadget as per-part local indices.
     """
 
     template: Hypergraph
     gadget_mis: tuple[tuple[tuple[int, ...], ...], ...]
-    part_offsets: tuple[int, ...]
-    part_dims: tuple[tuple[int, ...], ...]
+    choices: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def pg(self) -> PartitionedGraph:
@@ -352,18 +312,19 @@ class Blowup(PartitionedGraph):
     def family_mis(self, choice: tuple[int, ...]) -> int:
         """Vertex mask induced by picking gadget_mis[e][choice[e]] per edge e.
 
-        Each part contributes the unique vertex agreeing with every chosen
-        transversal MIS on its incident edges.
+        Each part keeps the unique vertex agreeing with every chosen
+        transversal MIS on its incident edges.  An entry outside
+        range(len(gadget_mis[e])) raises ValueError.
         """
         if len(choice) != len(self.template.edges):
             raise ValueError("need one choice per template edge")
-        mask = 0
-        for x in range(self.template.n):
-            idx = 0
-            for pos, ei in enumerate(self.template.incident_edges(x)):
-                i = self.template.edges[ei].index(x)
-                idx = idx * self.part_dims[x][pos] + self.gadget_mis[ei][choice[ei]][i]
-            mask |= 1 << (self.part_offsets[x] + idx)
+        parts = self.part_masks()
+        mask = self.graph.full_mask()
+        for e, slots, entries, c in zip(self.template.edges, self.choices, self.gadget_mis, choice):
+            if not 0 <= c < len(entries):
+                raise ValueError(f"choice {c} outside 0..{len(entries) - 1}")
+            for x, masks, a in zip(e, slots, entries[c]):
+                mask &= masks[a] | ~parts[x]
         return mask
 
 
@@ -380,64 +341,49 @@ def blowup(spec: BlowupSpec) -> Blowup:
     gadget_pgs = tuple(
         _edge_gadget(len(e), s, spec.gadget_kind) for e, s in zip(h.edges, spec.sizes)
     )
-    incident = [h.incident_edges(x) for x in range(h.n)]
-    dims = []
-    for x in range(h.n):
-        dims.append(
-            tuple(
-                len(gadget_pgs[ei].parts[h.edges[ei].index(x)]) for ei in incident[x]
-            )
-        )
-    part_sizes = [prod(dx) for dx in dims]
-    offsets = [0] * h.n
-    for x in range(1, h.n):
-        offsets[x] = offsets[x - 1] + part_sizes[x - 1]
-    n_total = sum(part_sizes)
+    # Per template vertex, its (edge, slot) pairs in edge order.
+    slots = [[(ei, h.edges[ei].index(x)) for ei in h.incident_edges(x)] for x in range(h.n)]
+    dims = [[len(gadget_pgs[ei].parts[i]) for ei, i in sx] for sx in slots]
+    n_total = sum(prod(dx) for dx in dims)
     check_vertex_count(n_total)
 
-    digit_tuples = [list(product(*(range(d) for d in dx))) for dx in dims]
+    choices = [[[0] * len(part) for part in gp.parts] for gp in gadget_pgs]
+    parts = []
+    v = 0
+    for sx, dx in zip(slots, dims):
+        start = v
+        for digits in product(*map(range, dx)):
+            for (ei, i), a in zip(sx, digits):
+                choices[ei][i][a] |= 1 << v
+            v += 1
+        parts.append(tuple(range(start, v)))
+
+    # Gadget vertex u of edge e stands for the blowup vertices that pick it;
+    # each gadget edge joins the two sets.
     rows = [0] * n_total
-    for x in range(h.n):
-        for y in range(x + 1, h.n):
-            shared = [ei for ei in incident[x] if y in h.edges[ei]]
-            if not shared:
-                continue
-            tables = []
-            for ei in shared:
-                gp = gadget_pgs[ei]
-                px = gp.parts[h.edges[ei].index(x)]
-                py = gp.parts[h.edges[ei].index(y)]
-                adj = [
-                    [gp.graph.has_edge(a, b) for b in py] for a in px
-                ]
-                tables.append((incident[x].index(ei), incident[y].index(ei), adj))
-            for fi, fd in enumerate(digit_tuples[x]):
-                u = offsets[x] + fi
-                for gi, gd in enumerate(digit_tuples[y]):
-                    if any(adj[fd[jx]][gd[jy]] for jx, jy, adj in tables):
-                        v = offsets[y] + gi
-                        rows[u] |= 1 << v
-                        rows[v] |= 1 << u
+    for gp, masks in zip(gadget_pgs, choices):
+        picks = {u: m for part, pm in zip(gp.parts, masks) for u, m in zip(part, pm)}
+        for u, row in enumerate(gp.graph.adj):
+            joined = 0
+            for w in iter_bits(row):
+                joined |= picks[w]
+            for b in iter_bits(picks[u]):
+                rows[b] |= joined
 
-    parts = tuple(
-        tuple(range(offsets[x], offsets[x] + part_sizes[x])) for x in range(h.n)
+    # Each gadget's transversal MIS's as the local index they pick in each part.
+    gadget_mis = tuple(
+        tuple(sorted(
+            tuple(next(a for a, u in enumerate(part) if mis >> u & 1) for part in gp.parts)
+            for mis in transversal_mis_list(gp)
+        ))
+        for gp in gadget_pgs
     )
-
-    gadget_mis = []
-    for gp in gadget_pgs:
-        entries = []
-        for mask in transversal_mis_list(gp):
-            entries.append(
-                tuple(next(p for p, v in enumerate(part) if mask >> v & 1) for part in gp.parts)
-            )
-        gadget_mis.append(tuple(sorted(entries)))
     return Blowup(
         graph=Graph(n_total, tuple(rows)),
-        parts=parts,
+        parts=tuple(parts),
         template=h,
-        gadget_mis=tuple(gadget_mis),
-        part_offsets=tuple(offsets),
-        part_dims=tuple(dims),
+        gadget_mis=gadget_mis,
+        choices=tuple(tuple(map(tuple, masks)) for masks in choices),
     )
 
 

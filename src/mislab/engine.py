@@ -54,22 +54,15 @@ def enumerate_k_mis(
     g: Graph,
     k: int | None,
     visitor: Callable[[int], None] | None = None,
-    limit: int | None = None,
 ) -> int:
     """Visit every maximal independent set of size exactly k, as a bitmask.
 
     ``k=None`` visits the MIS's of every size.  Sets are visited in
     lexicographic order of their sorted vertices.  Returns the number
-    visited (all of them when ``limit`` is None).  The visitor may be None
-    to just count.  ``limit=0`` visits nothing; a negative limit raises
-    ValueError.
+    visited.  The visitor may be None to just count.
     """
     if k is not None and not 0 <= k <= g.n:
         raise ValueError(f"k={k} outside 0..{g.n}")
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit={limit} is negative")
-    if limit == 0:
-        return 0
     n, adj = g.n, g.adj
     full = (1 << n) - 1
     if k == 0:
@@ -83,7 +76,7 @@ def enumerate_k_mis(
 
     # need counts the picks still to make; without a size target it starts
     # at 0 and only falls, so the count cuts (>= need) never fire.
-    def rec(pos: int, need: int, dom: int, chosen: int) -> bool:
+    def rec(pos: int, need: int, dom: int, chosen: int) -> None:
         nonlocal found
         missing = full & ~dom
         fut = missing >> pos << pos
@@ -97,18 +90,15 @@ def enumerate_k_mis(
                     found += 1
                     if visitor is not None:
                         visitor(chosen | low)
-                    if limit is not None and found >= limit:
-                        return True
                 cand ^= low
-            return False
+            return
         if not fut:
             # Nothing left to pick: a leaf without a size target, else dead.
-            if need > 0 or missing:
-                return False
-            found += 1
-            if visitor is not None:
-                visitor(chosen)
-            return limit is not None and found >= limit
+            if need <= 0 and not missing:
+                found += 1
+                if visitor is not None:
+                    visitor(chosen)
+            return
         cand = fut
         while cand and cand.bit_count() >= need:
             low = cand & -cand
@@ -126,12 +116,10 @@ def enumerate_k_mis(
                         break
                     undom ^= u
                 else:
-                    if rec(v + 1, need - 1, dom | closed[v], chosen | low):
-                        return True
+                    rec(v + 1, need - 1, dom | closed[v], chosen | low)
             # v is skipped from here on: a later pick must dominate it.
             if not adj[v] & cand:
                 break
-        return False
 
     rec(0, 0 if k is None else k, 0, 0)
     return found

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle
 import random
-from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
@@ -18,7 +19,6 @@ from mislab import (
     PartitionedGraph,
     behrend_set,
     blowup,
-    blowup_spec_from_matching,
     c4_leaves_graph,
     cliques_of_size,
     comatching,
@@ -27,6 +27,7 @@ from mislab import (
     disjoint_gadget_union,
     dominating_clique_graph,
     gadget,
+    graph6_encode,
     has_clique,
     hypergraph_count_k_mis,
     hypergraph_is_maximal_independent,
@@ -180,6 +181,16 @@ def test_blowup_is_a_partitioned_graph():
     assert clone.family_mis((1, 0, 1, 0, 1)) == bw.family_mis((1, 0, 1, 0, 1))
 
 
+def test_family_mis_rejects_a_choice_outside_its_gadget():
+    bw = tight_cycle_blowup(5, 3, 2)
+    assert [len(e) for e in bw.gadget_mis] == [2] * 5
+    for bad in ((-1, 0, 0, 0, 0), (0, 0, 2, 0, 0), (0, 0, 0, 0, 7)):
+        with pytest.raises(ValueError, match="choice"):
+            bw.family_mis(bad)
+    with pytest.raises(ValueError):
+        bw.family_mis((0, 0, 0, 0))
+
+
 def test_generators_check_the_vertex_count_first():
     top = MAX_VERTICES
     cases = [
@@ -268,60 +279,50 @@ def test_blowup_spec_json_round_trip():
             BlowupSpec.from_json({"template": {"n": 2, "edges": [[0, 1]]}, "sizes": bad})
 
 
-def test_blowup_spec_from_matching():
-    h = tight_cycle(2, 4)
-    spec = blowup_spec_from_matching(h, (Fraction(1, 2),) * 4, 9)
-    assert spec.sizes == (3, 3, 3, 3)  # floor(9^(1/2))
-    bw = blowup(spec)
-    assert bw.graph.n <= 4 * 9
-    assert blowup_spec_from_matching(h, (0,) * 4, 9).sizes == (1,) * 4
-    bad = [
-        (Fraction(2, 3),) * 4,  # load 4/3 at every vertex
-        (1, 1, 0, 0),  # load 2 at vertex 1
-        (Fraction(-1, 2),) + (0,) * 3,
-        (0.5,) * 4,
-        (Fraction(1, 2),) * 3,
-        (Fraction(1, 2),) * 5,
-    ]
-    for weights in bad:
-        with pytest.raises(ValueError):
-            blowup_spec_from_matching(h, weights, 9)
-    with pytest.raises(ValueError):  # load 3/2 per vertex
-        blowup_spec_from_matching(tight_cycle(3, 6), (Fraction(1, 2),) * 6, 8)
-    # each vertex of the r-uniform tight k-cycle lies in exactly r edges, so
-    # uniform weight 1/r loads every vertex exactly 1
-    for r in (2, 3, 4, 5):
-        for k in range(2 * r, 13):
-            h = tight_cycle(r, k)
-            assert all(len(h.incident_edges(x)) == r for x in range(k))
-            spec = blowup_spec_from_matching(h, (Fraction(1, r),) * k, 2**r)
-            assert spec.sizes == (2,) * k
-
-
-def test_iroot_is_exact_beyond_float_range():
-    from mislab.constructions import _iroot
-
-    rng = random.Random(41)
-    huge = [10**400, 10**400 - 1, 2**4000 + 1, 3**1000]
-    huge += [rng.randrange(10**600) for _ in range(20)]
-    for q in range(1, 6):
-        for x in huge + [(7**200) ** q, (7**200) ** q - 1]:
-            r = _iroot(x, q)
-            assert r**q <= x < (r + 1) ** q, (x, q)
-
-
 def test_alternating_matching_blowup_on_even_cycle():
-    # even cycles carry a family of fractional matchings; the alternating
-    # 1/2-0 one produces parts of size 2 and 1 and a family of 2^(k/2)
-    h = tight_cycle(2, 6)
-    half = Fraction(1, 2)
-    spec = blowup_spec_from_matching(h, (half, 0, half, 0, half, 0), 4)
-    assert spec.sizes == (2, 1, 2, 1, 2, 1)
-    bw = blowup(spec)
+    # gadget sizes alternating 2 and 1 round an even cycle give parts of
+    # size 2 and a family of 2^(k/2)
+    bw = blowup(BlowupSpec(tight_cycle(2, 6), (2, 1, 2, 1, 2, 1)))
     assert bw.graph.n == 12
     assert bw.family_size() == 8
     assert not has_clique(bw.graph, 3)
     assert count_k_mis(bw.graph, 6) >= 8
+
+
+# SHA-256 of each spec's graph6, parts, gadget MIS's and every family mask:
+# any change to the vertex layout, the gadgets or the family order shows here.
+PINNED_BLOWUPS = [
+    (BlowupSpec(tight_cycle(2, 5), (2,) * 5),
+     "b904b9ab368d0c5ee1663e8a5e40685f08494e43fea09ec17ebea8e1490fe55f"),
+    (BlowupSpec(tight_cycle(3, 8), (2,) * 8),
+     "dce817b17c8e8fbe299f1a2a88728edde1a76168542428d931db1c2b2d6065ae"),
+    (BlowupSpec(Hypergraph.from_edges(4, [(0, 1, 2), (1, 2, 3)]), (2, 2), "rs"),
+     "6078b95992a7a14664d37ba9634e861fa39c31666ab1d53643b70d6226d98b57"),
+    (BlowupSpec(tight_cycle(3, 6), (2, 3, 2, 3, 2, 3), "trivial"),
+     "92054c57ad942f5eca4e54aaefb4c2464eefe830006eb193ccf45f34b9830a23"),
+    (BlowupSpec(tight_cycle(2, 6), (3, 2, 3, 2, 3, 2), "comatching"),
+     "3b375bd1ef060753ea376e496a35982952b2a5d1de62f528ece4793abfb71cc5"),
+    (BlowupSpec(Hypergraph.from_edges(5, [(0, 1, 2), (2, 3), (3, 4), (0, 4)]), (2, 3, 2, 2)),
+     "f1e7fdf9fc77ae57027ee20932620de17c94520eabc144eb5f0fb2a706e77a28"),
+    (BlowupSpec(Hypergraph.from_edges(3, [(0, 1)]), (2,)),
+     "4d322494af4b832360ef11fd6141ade5bac948d245f6bb55f31b1f33abb40675"),
+    (BlowupSpec(Hypergraph.from_edges(2, []), ()),
+     "4d8af04d2f783a865bc31f5f0a49cb061ca605d4590badd0272e8e18ada8b84c"),
+]
+
+
+def test_blowup_bytes_are_pinned():
+    for spec, digest in PINNED_BLOWUPS:
+        bw = blowup(spec)
+        choices = product(*(range(len(e)) for e in bw.gadget_mis))
+        record = [
+            graph6_encode(bw.graph).decode(),
+            bw.parts,
+            bw.gadget_mis,
+            [bw.family_mis(c) for c in choices],
+        ]
+        got = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+        assert got == digest, spec
 
 
 def test_blowup_of_edgeless_template():

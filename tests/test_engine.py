@@ -80,37 +80,11 @@ def test_enumerate_visitor_and_limit():
     assert len(seen) == 9
     assert all(is_maximal_independent(g, m) for m in seen)
     assert len(set(seen)) == 9
-    capped = enumerate_k_mis(g, 2, lambda m: None, limit=4)
-    assert capped == 4
-
-
-def test_enumerate_limit_zero_visits_nothing_and_negative_raises():
-    cases = [
-        (Graph.empty(0), 0),
-        (Graph.empty(1), 1),
-        (Graph.empty(2), None),
-        (Graph.cycle(5), 2),
-        (Graph.complete(3), 1),
-        (Graph.complete(3), None),
-    ]
-    for g, k in cases:
-        assert enumerate_k_mis(g, k) >= 1
-        seen: list[int] = []
-        assert enumerate_k_mis(g, k, seen.append, limit=0) == 0
-        assert enumerate_k_mis(g, k, limit=0) == 0
-        for limit in (-1, -7):
-            with pytest.raises(ValueError):
-                enumerate_k_mis(g, k, seen.append, limit=limit)
-            with pytest.raises(ValueError):
-                enumerate_k_mis(g, k, limit=limit)
-        assert seen == []
-    with pytest.raises(ValueError):
-        enumerate_k_mis(Graph.empty(3), 0, limit=-1)
 
 
 def test_visit_order_and_limit_match_naive_list():
     # transversal_reduction seeds its partition from the first set visited,
-    # so the order is part of the contract, and a limit keeps its prefix.
+    # so the order is part of the contract.
     rng = random.Random(4242)
     for _ in range(160):
         n = rng.randint(0, 12)
@@ -122,12 +96,6 @@ def test_visit_order_and_limit_match_naive_list():
             seen: list[int] = []
             assert enumerate_k_mis(g, k, seen.append) == len(want)
             assert seen == want, (g, k)
-            for limit in (1, 2, 3):
-                seen = []
-                got = enumerate_k_mis(g, k, seen.append, limit=limit)
-                assert got == len(seen) == min(limit, len(want))
-                assert seen == want[:limit]
-                assert enumerate_k_mis(g, k, limit=limit) == got
         seen = []
         assert enumerate_k_mis(g, None, seen.append) == len(every)
         assert seen == sorted(every, key=lambda m: [v for v in range(n) if m >> v & 1])
