@@ -47,7 +47,6 @@ from .graphs import (
     cliques_of_size,
     disjoint_union,
     has_clique,
-    hypergraph_is_maximal_independent,
     induced_subgraph,
     is_independent,
     is_maximal_independent,

@@ -14,14 +14,16 @@ the closed neighborhood of the lowest one, and each such candidate is
 settled with a single mask compare.
 
 The hypergraph counter keeps a "blocked" mask instead: the outside vertices
-that would complete an edge if added.  A new pick v can only block the one
-vertex left outside an edge through v, so each vertex keeps its edges' rest
-masks ``e & ~(1 << v)``.  The same leaf compare and skipped-vertex prune apply.
+that would complete an edge if added.  A pick p newly blocks ``link[p | S]``
+over the chosen subsets S (0 included) of up to top = largest edge - 2
+vertices while sum C(k-1, 1..top) is at most the longest rest list, else it
+scans p's edge rests.  The count cut and the last pick run in the parent: the
+last pick is or blocks the lowest open vertex w, so it is in ``w | link[w | S]``.
 
 The counters build none of these tables themselves: they read them from the
 immutable objects, which build each once, on first use (``Graph.closed``,
-``Hypergraph.rest_masks``, ``PartitionedGraph.part_masks``).  Counting one
-graph at every k then packs its masks once.
+``Hypergraph.rest_masks`` and ``link``, ``PartitionedGraph.part_masks``).
+Counting one graph at every k then packs its masks once.
 
 ``transversal_reduction`` runs no counter per random split.  Every split's
 transversal MIS's come from one list, the k-MIS's of the kept subgraph with
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, NamedTuple
 
 from .graphs import (
@@ -341,25 +344,50 @@ def hypergraph_enumerate_k_mis(
     """Count (and optionally visit) size-k maximal independent sets of h.
 
     Independent means containing no edge; maximal means every outside vertex
-    closes some edge when added.
+    closes some edge when added.  Sets are visited in lexicographic order of
+    their sorted vertices; the module docstring gives the cuts and the guard.
     """
     if not 0 <= k <= h.n:
         raise ValueError(f"k={k} outside 0..{h.n}")
-    full = (1 << h.n) - 1
-    rests = h.rest_masks
-    found = 0
+    if k == 0:  # as in a graph: the empty set is maximal only on no vertices
+        if visitor is not None and h.n == 0:
+            visitor(0)
+        return int(h.n == 0)
+    full, rests, found = (1 << h.n) - 1, h.rest_masks, 0
+    top = max(map(len, h.edges), default=2) - 2
+    # partners(v, ...): the vertices completing an edge with bit v and the chosen set.
+    if sum(comb(k - 1, j) for j in range(1, top + 1)) <= max(map(len, rests), default=0):
+        get = h.link.get
+        def partners(v: int, chosen: int, subs: list[int]) -> int:
+            x = 0
+            for s in subs:
+                x |= get(s | v, 0)
+            return x
+    else:
+        top = 0  # the scan reads the chosen set itself; carry no subsets
+        def partners(v: int, chosen: int, subs: list[int]) -> int:
+            x = 0
+            for r in rests[v.bit_length() - 1]:
+                out = r & ~chosen
+                if not out & (out - 1):
+                    x |= out
+            return x
 
-    def rec(pos: int, size: int, chosen: int, blocked: int) -> None:
+    def rec(pos: int, need: int, chosen: int, blocked: int, subs: list[int]) -> None:
         nonlocal found
-        if size == k:
-            if chosen | blocked == full:
-                found += 1
-                if visitor is not None:
-                    visitor(chosen)
-            return
-        need = k - size
         fut = (full >> pos << pos) & ~blocked
-        if fut.bit_count() < need:
+        if need == 1:
+            # The last pick must block the lowest open vertex or be it.
+            missing = full & ~(chosen | blocked)
+            w = missing & -missing
+            cand = (w | partners(w, chosen, subs)) & fut
+            while cand:
+                low = cand & -cand
+                if not missing & ~low & ~partners(low, chosen, subs):
+                    found += 1
+                    if visitor is not None:
+                        visitor(chosen | low)
+                cand ^= low
             return
         # Each skipped vertex needs an edge that at most `need` future picks complete.
         reach = chosen | fut
@@ -372,19 +400,15 @@ def hypergraph_enumerate_k_mis(
             else:
                 return
             free ^= low
-        cand = fut
-        while cand:
-            low = cand & -cand
-            grown = chosen | low
-            nb = blocked  # only an edge through the pick can newly block a vertex
-            for r in rests[low.bit_length() - 1]:
-                out = r & ~grown
-                if not out & (out - 1):
-                    nb |= out
-            rec(low.bit_length(), size + 1, grown, nb)
-            cand ^= low
+        while fut.bit_count() >= need:
+            low = fut & -fut
+            fut ^= low  # now the candidates above the pick
+            nb = blocked | partners(low, chosen, subs)
+            if (fut & ~nb).bit_count() >= need - 1:
+                grown = subs + [s | low for s in subs if s.bit_count() < top]
+                rec(low.bit_length(), need - 1, chosen | low, nb, grown)
 
-    rec(0, 0, 0, 0)
+    rec(0, k, 0, 0, [0])
     return found
 
 

@@ -5,9 +5,9 @@ Vertices are 0..n-1 everywhere.  Vertex sets travel as plain int bitmasks
 of vertex indices and normalize it first.  All objects are immutable after
 construction, so they can be shared freely across worker processes.  They
 cache derived bitmask tables (a graph's closed neighborhoods, a hypergraph's
-per-vertex edge rests, a partition's part masks) on first use; the cache is
-not a field, so it never changes equality, hashing or the stored structure,
-and graphs and hypergraphs pickle without it.
+per-vertex edge rests and its link table, a partition's part masks) on first
+use; the cache is not a field, so it never changes equality, hashing or the
+stored structure, and graphs and hypergraphs pickle without it.
 """
 
 from __future__ import annotations
@@ -270,9 +270,6 @@ class Hypergraph:
     def uniform(self, r: int) -> bool:
         return all(len(e) == r for e in self.edges)
 
-    def edge_masks(self) -> tuple[int, ...]:
-        return tuple(vertex_mask(e) for e in self.edges)
-
     @cached_property
     def rest_masks(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex v, the mask of e minus v for each edge e through v, in edge order."""
@@ -284,6 +281,15 @@ class Hypergraph:
             for v in e:
                 rests[v].append(em ^ (1 << v))
         return tuple(map(tuple, rests))
+
+    @cached_property
+    def link(self) -> dict[int, int]:
+        """Mask of e minus w -> OR of all such w, over edges e and w in e (read-only)."""
+        link: dict[int, int] = {}
+        for w, rests in enumerate(self.rest_masks):
+            for rest in rests:
+                link[rest] = link.get(rest, 0) | 1 << w
+        return link
 
     def incident_edges(self, x: int) -> tuple[int, ...]:
         """Indices of the edges containing vertex x, in edge order."""
@@ -298,13 +304,6 @@ def shadow(h: Hypergraph) -> Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     return Graph(h.n, tuple(rows))
-
-
-def hypergraph_is_maximal_independent(h: Hypergraph, s: VertexSet) -> bool:
-    """True iff s is independent and adding any outside vertex traps an edge."""
-    m = as_mask(h.n, s)
-    left = {em & ~m for em in h.edge_masks()}
-    return 0 not in left and all(1 << w in left for w in iter_bits(((1 << h.n) - 1) & ~m))
 
 
 @dataclass(frozen=True)

@@ -469,10 +469,7 @@ def canonical_form(obj: Graph | Hypergraph) -> bytes:
         r = len(obj.edges[0]) if obj.edges else 2
         if not obj.uniform(r):
             raise ValueError("canonical form needs a uniform hypergraph")
-        link = {}
-        for w, rests in enumerate(obj.rest_masks):
-            for rest in rests:
-                link[rest] = link.get(rest, 0) | 1 << w
+        link = obj.link
     best: tuple[int, ...] | None = None
     best_order: tuple[int, ...] = ()
     autos: list[list[int]] = []

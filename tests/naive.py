@@ -161,6 +161,32 @@ def naive_hyper_is_mis(h: Hypergraph, s: set[int]) -> bool:
     )
 
 
+def edge_masks(h: Hypergraph) -> tuple[int, ...]:
+    """Each edge of h as a vertex bitmask, in edge order."""
+    return tuple(sum(1 << v for v in e) for e in h.edges)
+
+
+def hypergraph_is_maximal_independent(h: Hypergraph, s) -> bool:
+    """True iff s (a bitmask or vertex iterable) is independent and adding
+    any outside vertex traps an edge."""
+    m = s if isinstance(s, int) else sum(1 << v for v in set(s))
+    if m < 0 or m >> h.n:
+        raise ValueError(f"vertex set out of range for n={h.n}")
+    left = {em & ~m for em in edge_masks(h)}
+    return 0 not in left and all(1 << w in left for w in range(h.n) if not m >> w & 1)
+
+
+class CountingLink(dict):
+    """A hypergraph link table that counts its lookups.  Put in place with
+    ``vars(h)["link"] = CountingLink(h.link)``, it shows whether a count read it."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
 def naive_hyper_mis_list(h: Hypergraph, k: int) -> list[int]:
     """Size-k MIS's as bitmasks, in lexicographic order of their sorted vertices.
 
@@ -271,11 +297,11 @@ def random_hypergraph3(rng: random.Random, n: int, p: float) -> Hypergraph:
     return Hypergraph(n, tuple(edges))
 
 
-def random_mixed_hypergraph(rng: random.Random, n: int, m: int) -> Hypergraph:
-    """Up to m distinct random edges of sizes 2..4 (fewer when n is small)."""
+def random_mixed_hypergraph(rng: random.Random, n: int, m: int, largest: int = 4) -> Hypergraph:
+    """Up to m distinct random edges of sizes 2..largest (fewer when n is small)."""
     edges = set()
     for _ in range(m):
-        size = rng.randint(2, 4)
+        size = rng.randint(2, largest)
         if size <= n:
             edges.add(tuple(sorted(rng.sample(range(n), size))))
     return Hypergraph(n, tuple(sorted(edges)))

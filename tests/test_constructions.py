@@ -30,7 +30,6 @@ from mislab import (
     graph6_encode,
     has_clique,
     hypergraph_count_k_mis,
-    hypergraph_is_maximal_independent,
     is_maximal_independent,
     rs_packing,
     shadow,
@@ -41,7 +40,7 @@ from mislab import (
     window_hypergraph,
 )
 from mislab.graphs import MAX_VERTICES
-from naive import has_3term_ap, hyper_contains_complete
+from naive import has_3term_ap, hyper_contains_complete, hypergraph_is_maximal_independent
 
 
 def test_comatching_shape():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 
@@ -22,7 +23,6 @@ from mislab import (
     greedy_mis_partition,
     hypergraph_count_k_mis,
     hypergraph_enumerate_k_mis,
-    hypergraph_is_maximal_independent,
     is_maximal_independent,
     rs_packing,
     star_hypergraph,
@@ -34,6 +34,8 @@ from mislab import (
     window_hypergraph,
 )
 from naive import (
+    CountingLink,
+    hypergraph_is_maximal_independent,
     naive_hyper_count_k_mis,
     naive_hyper_is_mis,
     naive_hyper_mis_list,
@@ -345,15 +347,39 @@ def test_hypergraph_counts_match_naive_oracle():
 def test_hypergraph_counter_matches_naive_on_mixed_edge_sizes():
     # The naive list is in the order of the plain increasing-vertex walk that
     # checks maximality only at the leaves; the pruned walk must keep it.
+    # The counter finds a pick's partners by a walk over the chosen subsets
+    # of size <= top (largest edge less 2) when their count at the last pick
+    # is at most the longest rest list, else by scanning edge rests; only the
+    # walk reads the link table.  Of the (h, k >= 2) pairs, seed 2024's edges
+    # of 2..4 vertices walk at 261 and scan at 260; seed 2025's 40
+    # hypergraphs with edges of up to 7 vertices walk at 74 and scan at 188,
+    # and its 20 dense 3-graphs walk at all 140.
     rng = random.Random(2024)
-    for _ in range(150):
-        h = random_mixed_hypergraph(rng, rng.randint(0, 9), rng.randint(0, 14))
+    family = [
+        random_mixed_hypergraph(rng, rng.randint(0, 9), rng.randint(0, 14)) for _ in range(150)
+    ]
+    rng = random.Random(2025)
+    family += [
+        random_mixed_hypergraph(rng, rng.randint(5, 10), rng.randint(1, 10), largest=7)
+        for _ in range(40)
+    ]
+    dense = [
+        random_hypergraph3(rng, rng.randint(6, 10), 0.5 + rng.random() / 2) for _ in range(20)
+    ]
+    sides = {True: 0, False: 0}
+    for h in family + dense:
+        link = vars(h)["link"] = CountingLink(h.link)
         for k in range(h.n + 1):
+            reads = link.reads
             seen: list[int] = []
             assert hypergraph_enumerate_k_mis(h, k, seen.append) == len(seen)
+            if k >= 2:
+                sides[link.reads > reads] += 1
+                assert link.reads > reads or h not in dense, (h, k)
             assert hypergraph_count_k_mis(h, k) == len(seen)
             assert all(hypergraph_is_maximal_independent(h, s) for s in seen)
             assert seen == naive_hyper_mis_list(h, k), (h, k)
+    assert sides[True] >= 200 and sides[False] >= 150, sides
 
 
 def test_hypergraph_maximality_check_matches_naive():
@@ -381,6 +407,50 @@ def test_two_uniform_hypergraph_counts_like_its_graph():
 def test_window_hypergraph_regression_values():
     assert hypergraph_count_k_mis(window_hypergraph(4, 4, 20), 4) == 625
     assert hypergraph_count_k_mis(window_hypergraph(4, 5, 20), 5) == 1024
+    for k in (4, 5):  # both counts take the link walk
+        h = window_hypergraph(4, k, 20)
+        vars(h)["link"] = CountingLink(h.link)
+        hypergraph_count_k_mis(h, k)
+        assert h.link.reads > 0
+
+
+def test_wide_edges_take_the_rest_scan():
+    # Six edges of 8..12 vertices and four 2-edges on 22 vertices: at k=20 a
+    # walk over the chosen subsets would carry 169,765 to 354,521 of them to
+    # the last pick, against at most 10 edges per vertex, so the counter must
+    # scan edge rests here and never read the link table.  That counts the
+    # family in under a second; a walk shows as a timeout.  The total was
+    # taken before the walk existed.
+    import subprocess
+
+    import mislab
+
+    code = (
+        "import random\n"
+        "from mislab import Hypergraph, hypergraph_count_k_mis\n"
+        "from naive import CountingLink\n"
+        "total = reads = 0\n"
+        "for seed in range(20):\n"
+        "    rng = random.Random(seed)\n"
+        "    edges = set()\n"
+        "    while len(edges) < 6:\n"
+        "        edges.add(tuple(sorted(rng.sample(range(22), rng.randint(8, 12)))))\n"
+        "    while len(edges) < 10:\n"
+        "        edges.add(tuple(sorted(rng.sample(range(22), 2))))\n"
+        "    h = Hypergraph(22, tuple(sorted(edges)))\n"
+        "    link = vars(h)['link'] = CountingLink(h.link)\n"
+        "    total += sum(hypergraph_count_k_mis(h, k) for k in range(14, 21))\n"
+        "    reads += link.reads\n"
+        "print(total, reads)\n"
+    )
+    src = os.path.dirname(os.path.dirname(mislab.__file__))
+    path = os.pathsep.join([src, os.path.dirname(__file__)])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1184", "0"]
 
 
 def test_counts_match_networkx_clique_enumeration_if_available():

@@ -17,14 +17,18 @@ from mislab import (
     disjoint_union,
     hypergraph_count_k_mis,
     has_clique,
-    hypergraph_is_maximal_independent,
     is_independent,
     is_maximal_independent,
     partite_complement,
     shadow,
     tight_cycle,
 )
-from naive import naive_has_clique, random_graph, random_mixed_hypergraph
+from naive import (
+    hypergraph_is_maximal_independent,
+    naive_has_clique,
+    random_graph,
+    random_mixed_hypergraph,
+)
 
 
 def test_graph_validation_rejects_bad_input():
@@ -223,12 +227,19 @@ def test_pickle_drops_cached_tables():
         h = random_mixed_hypergraph(rng, rng.randint(0, 10), rng.randint(0, 12))
         fresh = pickle.dumps(Hypergraph(h.n, h.edges))
         counts = [hypergraph_count_k_mis(h, k) for k in range(min(h.n, 3) + 1)]
-        assert "rest_masks" in vars(h)
+        # k = 1 always takes the link walk; k = 0 reads no table, so on no
+        # vertices the tables are built by hand.
+        if h.n == 0:
+            assert not {"rest_masks", "link"} & vars(h).keys()
+            assert h.link == {}
+        assert "rest_masks" in vars(h) and "link" in vars(h)
         blob = pickle.dumps(h)
-        assert len(blob) == len(fresh) and "rest_masks" not in vars(pickle.loads(blob))
+        assert len(blob) == len(fresh)
+        assert not {"rest_masks", "link"} & vars(pickle.loads(blob)).keys()
         back = pickle.loads(blob)
         assert back == h and hash(back) == hash(h)
         assert [hypergraph_count_k_mis(back, k) for k in range(min(h.n, 3) + 1)] == counts
+        assert back.link == h.link
 
 
 def test_part_masks_match_parts_and_are_kept():
