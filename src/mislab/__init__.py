@@ -22,7 +22,6 @@ from .constructions import (
 )
 from .engine import (
     ReductionResult,
-    TBoundCheck,
     count_all_mis,
     count_k_mis,
     count_transversal_mis,
@@ -32,7 +31,6 @@ from .engine import (
     hypergraph_enumerate_k_mis,
     transversal_mis_list,
     transversal_reduction,
-    tripartite_T_bound_check,
 )
 from .formats import (
     graph6_decode,
@@ -48,10 +46,8 @@ from .graphs import (
     disjoint_union,
     has_clique,
     induced_subgraph,
-    is_independent,
     is_maximal_independent,
     partite_complement,
-    shadow,
 )
 from .search import (
     SearchReport,

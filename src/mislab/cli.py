@@ -58,16 +58,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_threads() -> int:
-    env = os.environ.get("MIS_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -344,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(pv, ("csv", "json"), "csv")
     pv.set_defaults(func=cmd_verify)
     for p in (ps, pv):  # only the exhaustive scan runs workers
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="scan worker count (default: MIS_LAB_THREADS or cpu count)")
+        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                       help="scan worker count (default: cpu count)")
     return parser
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .graphs import (
     Graph,
@@ -317,23 +317,6 @@ def transversal_reduction(
         seed=seed,
         bound_met=met,
     )
-
-
-class TBoundCheck(NamedTuple):
-    transversal_count: int
-    vertex_count: int
-    holds: bool
-
-
-def tripartite_T_bound_check(pg: PartitionedGraph) -> TBoundCheck:
-    """Count transversal MIS's of a triangle-free tripartite graph vs |V|."""
-    if len(pg.parts) != 3:
-        raise ValueError(f"expected 3 parts, got {len(pg.parts)}")
-    if has_clique(pg.graph, 3):
-        raise ValueError("graph contains a triangle")
-    T = count_transversal_mis(pg)
-    n = pg.graph.n
-    return TBoundCheck(T, n, T <= n)
 
 
 def hypergraph_enumerate_k_mis(

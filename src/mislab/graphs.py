@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator
 
 # Desk-scale cap on vertex counts; every construction in this package stays
@@ -123,12 +122,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in iter_bits(self.adj[u]) if u < v]
-
     def edge_count(self) -> int:
         return sum(self.adj[v].bit_count() for v in range(self.n)) // 2
 
@@ -157,15 +150,6 @@ def induced_subgraph(g: Graph, vertices: VertexSet) -> tuple[Graph, tuple[int, .
             if u in index:
                 rows[index[v]] |= 1 << index[u]
     return Graph(len(keep), tuple(rows)), tuple(keep)
-
-
-def is_independent(g: Graph, s: VertexSet) -> bool:
-    """True iff no two vertices of s are adjacent in g."""
-    m = as_mask(g.n, s)
-    for v in iter_bits(m):
-        if g.adj[v] & m:
-            return False
-    return True
 
 
 def is_maximal_independent(g: Graph, s: VertexSet) -> bool:
@@ -296,16 +280,6 @@ class Hypergraph:
         return tuple(i for i, e in enumerate(self.edges) if x in e)
 
 
-def shadow(h: Hypergraph) -> Graph:
-    """Graph on the same vertices with uv an edge iff some hyperedge holds both."""
-    rows = [0] * h.n
-    for e in h.edges:
-        for u, v in combinations(e, 2):
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return Graph(h.n, tuple(rows))
-
-
 @dataclass(frozen=True)
 class PartitionedGraph:
     """Graph plus an ordered partition of its vertices into nonempty parts."""
@@ -346,12 +320,6 @@ class PartitionedGraph:
     def part_masks(self) -> tuple[int, ...]:
         """Bitmask of each part, in part order (computed once, by validation)."""
         return self._part_masks
-
-    def part_of(self, v: int) -> int:
-        for i, p in enumerate(self.parts):
-            if v in p:
-                return i
-        raise ValueError(f"vertex {v} not in any part")
 
 
 def partite_complement(pg: PartitionedGraph) -> PartitionedGraph:

@@ -27,6 +27,25 @@ from mislab import (
 )
 
 
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, of g in lexicographic order."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
+
+
+def is_independent(g: Graph, s) -> bool:
+    """True iff no two vertices of s (a bitmask or vertex iterable) are adjacent."""
+    m = s if isinstance(s, int) else sum(1 << v for v in set(s))
+    if m < 0 or m >> g.n:
+        raise ValueError(f"vertex set out of range for n={g.n}")
+    members = [v for v in range(g.n) if m >> v & 1]
+    return not any(g.adj[u] >> v & 1 for u, v in combinations(members, 2))
+
+
+def shadow(h: Hypergraph) -> Graph:
+    """Graph on the same vertices with uv an edge iff some hyperedge holds both."""
+    return Graph.from_edges(h.n, {p for e in h.edges for p in combinations(e, 2)})
+
+
 def naive_mis_list(g: Graph, k: int) -> list[int]:
     """Size-k MIS's as bitmasks, in lexicographic order of their sorted vertices.
 
@@ -38,13 +57,13 @@ def naive_mis_list(g: Graph, k: int) -> list[int]:
 
 def _mis_masks(g: Graph, subsets) -> list[int]:
     """The vertex tuples among ``subsets`` that are MIS's of g, as bitmasks, in order."""
-    edges = {frozenset(e) for e in g.edges()}
+    pairs = {frozenset(e) for e in edges(g)}
     out = []
     for sub in subsets:
-        if any(frozenset(p) in edges for p in combinations(sub, 2)):
+        if any(frozenset(p) in pairs for p in combinations(sub, 2)):
             continue
         if all(
-            any(frozenset((w, u)) in edges for u in sub)
+            any(frozenset((w, u)) in pairs for u in sub)
             for w in range(g.n)
             if w not in sub
         ):
@@ -88,11 +107,11 @@ def reference_split_classes(
     relabelled in increasing order, the kept classes in new labels and the
     full profile.
     """
-    edges = set(g.edges())
+    edge_set = set(edges(g))
     first = [v for v in range(g.n) if mis[0] >> v & 1]
     classes, taken = [], set(first)
     for v in first:
-        cls = {u for u in range(g.n) if (min(u, v), max(u, v)) in edges} - taken
+        cls = {u for u in range(g.n) if (min(u, v), max(u, v)) in edge_set} - taken
         classes.append(cls)
         taken |= cls
     classes.append(set(first))
@@ -103,7 +122,9 @@ def reference_split_classes(
     profile = min(votes, key=lambda p: (-votes[p], p))
     keep = tuple(sorted(v for cls, c in zip(classes, profile) if c for v in cls))
     new = {v: i for i, v in enumerate(keep)}
-    sub = Graph.from_edges(len(keep), [(new[u], new[v]) for u, v in edges if u in new and v in new])
+    sub = Graph.from_edges(
+        len(keep), [(new[u], new[v]) for u, v in edge_set if u in new and v in new]
+    )
     kept = [sorted(new[v] for v in cls) for cls, c in zip(classes, profile) if c]
     return keep, sub, kept, profile
 
@@ -144,9 +165,9 @@ def reference_transversal_reduction(
 def naive_has_clique(g: Graph, t: int) -> bool:
     if t == 1:
         return g.n >= 1
-    edges = {frozenset(e) for e in g.edges()}
+    pairs = {frozenset(e) for e in edges(g)}
     return any(
-        all(frozenset(p) in edges for p in combinations(sub, 2))
+        all(frozenset(p) in pairs for p in combinations(sub, 2))
         for sub in combinations(range(g.n), t)
     )
 

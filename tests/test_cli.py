@@ -386,17 +386,6 @@ def test_reports_leave_the_worker_count_out(capsys, tmp_path):
         assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
 
 
-def test_thread_default_env_fallback(monkeypatch):
-    from mislab.cli import _default_threads
-
-    monkeypatch.setenv("MIS_LAB_THREADS", "3")
-    assert _default_threads() == 3
-    monkeypatch.setenv("MIS_LAB_THREADS", "junk")
-    assert _default_threads() >= 1
-    monkeypatch.delenv("MIS_LAB_THREADS")
-    assert _default_threads() >= 1
-
-
 def test_import_and_count_do_not_load_numpy(tmp_path):
     # numpy serves only the exhaustive scan; importing the package and
     # counting a graph never load it.
@@ -471,9 +460,9 @@ class _SerialPool:
 
 def test_search_threads_are_capped_by_chunks_and_cpus(monkeypatch, capsys):
     # n=7 has 32 chunks, 14 of them orbit-least: only those are scanned for
-    # the value.  A request for 100000 workers, by flag or by
-    # MIS_LAB_THREADS, starts no more than those chunks or the CPUs; the
-    # result is the serial one.  No real pool is started.
+    # the value.  A request for 100000 workers starts no more than those
+    # chunks or the CPUs; the result is the serial one.  No real pool is
+    # started.
     import multiprocessing
 
     monkeypatch.setattr(_SerialPool, "requested", [])
@@ -487,11 +476,6 @@ def test_search_threads_are_capped_by_chunks_and_cpus(monkeypatch, capsys):
         code, out, _ = run(argv + ["--threads", "100000"], capsys)
         assert code == 0 and json.loads(out)["result"] == serial
         assert _SerialPool.requested[-1] == want
-        monkeypatch.setenv("MIS_LAB_THREADS", "100000")
-        code, out, _ = run(argv, capsys)
-        assert code == 0 and json.loads(out)["result"] == serial
-        assert _SerialPool.requested[-1] == want
-        monkeypatch.delenv("MIS_LAB_THREADS")
 
 
 def _main_quietly(argv: list[str]) -> tuple[int, str]:

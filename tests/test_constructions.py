@@ -6,6 +6,7 @@ import hashlib
 import json
 import pickle
 import random
+from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 
@@ -17,6 +18,7 @@ from mislab import (
     Hypergraph,
     PackingGraph,
     PartitionedGraph,
+    SearchSpec,
     behrend_set,
     blowup,
     c4_leaves_graph,
@@ -26,13 +28,13 @@ from mislab import (
     count_transversal_mis,
     disjoint_gadget_union,
     dominating_clique_graph,
+    exhaustive_m,
     gadget,
     graph6_encode,
     has_clique,
     hypergraph_count_k_mis,
     is_maximal_independent,
     rs_packing,
-    shadow,
     star_hypergraph,
     tight_cycle,
     tight_cycle_blowup,
@@ -40,7 +42,13 @@ from mislab import (
     window_hypergraph,
 )
 from mislab.graphs import MAX_VERTICES
-from naive import has_3term_ap, hyper_contains_complete, hypergraph_is_maximal_independent
+from naive import (
+    edges,
+    has_3term_ap,
+    hyper_contains_complete,
+    hypergraph_is_maximal_independent,
+    shadow,
+)
 
 
 def test_comatching_shape():
@@ -114,14 +122,14 @@ def test_rs_packing_every_edge_in_exactly_one_triangle():
         for tri in triangles:
             for pair in combinations(tri, 2):
                 per_edge[pair] = per_edge.get(pair, 0) + 1
-        assert set(per_edge) == set(g.edges())
+        assert set(per_edge) == set(edges(g))
         assert all(c == 1 for c in per_edge.values())
     # listed triangles are transversal by construction
     p = rs_packing(2)
     assert len(p.cliques) == 4
     masks = p.pg.part_masks()
     for tri in p.cliques:
-        assert sorted(p.pg.part_of(v) for v in tri) == [0, 1, 2]
+        assert sorted(i for v in tri for i, pm in enumerate(masks) if pm >> v & 1) == [0, 1, 2]
 
 
 def test_gadget_cliques_become_transversal_mis():
@@ -257,7 +265,7 @@ def test_blowup_isolated_template_vertex():
     bw = blowup(BlowupSpec(template, (2,)))
     assert [len(p) for p in bw.parts] == [2, 2, 1]
     lone = bw.parts[2][0]
-    assert bw.graph.degree(lone) == 0
+    assert bw.graph.adj[lone].bit_count() == 0
     assert count_k_mis(bw.graph, 3) >= 2
 
 
@@ -451,3 +459,49 @@ def test_c4_leaves_graph():
     assert g.n == 6
     assert not has_clique(g, 3)
     assert count_k_mis(g, 2) == 3
+
+
+@lru_cache(maxsize=None)
+def _census_m(n: int, k: int, t: int) -> int:
+    return exhaustive_m(SearchSpec(n, k=k, t=t)).value
+
+
+def _small_constructions():
+    """Every K_t-free construction on at most 8 vertices, t = 3..5, with its t."""
+    for t in (3, 4, 5):
+        for k in range(1, 9):
+            for m in range(1, 9):
+                g = disjoint_gadget_union(k, t, m)  # grows with m
+                if g.n > 8:
+                    break
+                yield ("theorem-a", k, t, m), t, g
+        # A blowup has k * m^(t-1) vertices and k >= 2(t-1), so only m = 1 fits.
+        for k in range(2 * (t - 1), 9):
+            yield ("theorem-b", k, t, 1), t, tight_cycle_blowup(k, t, 1).graph
+        for n in range(t, 9):
+            yield ("dominating", t, n), t, dominating_clique_graph(t, n)
+    for n in range(2, 9):
+        yield ("comatching", n), 3, comatching(n).graph
+    yield ("c4-leaves",), 3, c4_leaves_graph()
+
+
+def test_constructions_never_beat_the_census():
+    # Each nonzero k-MIS count of a K_t-free construction is at most the
+    # exhaustive maximum m(n, k, t) over all K_t-free graphs on its vertices.
+    built = equal = below = 0
+    for name, t, g in _small_constructions():
+        built += 1
+        assert not has_clique(g, t), name
+        for k in range(g.n + 1):
+            count = count_k_mis(g, k)
+            if count:
+                best = _census_m(g.n, k, t)
+                assert count <= best, (name, k, count, best)
+                equal += count == best
+                below += count < best
+    assert (built, equal, below) == (93, 83, 42)
+    # theorem-a meets the census on triangle-free graphs and falls short at t > 3.
+    for (k, t, m), want, best in (((2, 3, 4), 4, 4), ((4, 3, 2), 16, 16),
+                                  ((2, 4, 4), 4, 12), ((4, 5, 2), 2, 16)):
+        g = disjoint_gadget_union(k, t, m)
+        assert g.n == 8 and count_k_mis(g, k) == want and _census_m(8, k, t) == best

@@ -21,6 +21,7 @@ from mislab import (
     enumerate_k_mis,
     gadget,
     greedy_mis_partition,
+    has_clique,
     hypergraph_count_k_mis,
     hypergraph_enumerate_k_mis,
     is_maximal_independent,
@@ -29,12 +30,12 @@ from mislab import (
     tight_cycle_blowup,
     transversal_mis_list,
     transversal_reduction,
-    tripartite_T_bound_check,
     trivial_packing,
     window_hypergraph,
 )
 from naive import (
     CountingLink,
+    edges,
     hypergraph_is_maximal_independent,
     naive_hyper_count_k_mis,
     naive_hyper_is_mis,
@@ -305,15 +306,56 @@ def test_transversal_reduction_no_mis_is_domain_error():
 
 def test_tripartite_bound_check():
     # m=2 keeps the trivial-packing gadget triangle-free; larger m does not.
-    gm = tripartite_T_bound_check(gadget(trivial_packing(3, 2)))
-    assert gm.transversal_count == 2 and gm.holds
+    gm = gadget(trivial_packing(3, 2))
+    assert not has_clique(gm.graph, 3)
+    assert count_transversal_mis(gm) == 2 <= gm.graph.n
     tiny = PartitionedGraph.from_parts(Graph.empty(3), [(0,), (1,), (2,)])
-    res = tripartite_T_bound_check(tiny)
-    assert res.transversal_count == 1 and res.holds
-    with pytest.raises(ValueError):
-        tripartite_T_bound_check(
-            PartitionedGraph.from_parts(Graph.complete(3), [(0,), (1,), (2,)])
-        )
+    assert count_transversal_mis(tiny) == 1 <= tiny.graph.n
+
+
+def _three_colourings(g: Graph):
+    """Every proper colouring of g with exactly colours 0, 1, 2, each used,
+    up to renaming the colours: colour c first appears after colour c - 1."""
+    colour = [0] * g.n
+
+    def place(v: int, used: int):
+        if v == g.n:
+            if used == 3:
+                yield tuple(colour)
+            return
+        for c in range(min(used + 1, 3)):
+            if all(colour[u] != c for u in range(v) if g.adj[v] >> u & 1):
+                colour[v] = c
+                yield from place(v + 1, max(used, c + 1))
+
+    yield from place(0, 0)
+
+
+def test_tripartite_transversal_bound_on_every_small_graph():
+    # T <= |V| for every triangle-free graph on 3..7 vertices under every
+    # 3-partition into independent parts; the naive list agrees up to n = 6.
+    nx = pytest.importorskip("networkx")
+    best: dict[int, int] = {}
+    partitions = checked = 0
+    for other in nx.graph_atlas_g():
+        n = other.number_of_nodes()
+        if not 3 <= n <= 7:
+            continue
+        g = Graph.from_edges(n, other.edges())
+        if has_clique(g, 3):
+            continue
+        for colour in _three_colourings(g):
+            parts = [[v for v in range(n) if colour[v] == c] for c in range(3)]
+            pg = PartitionedGraph.from_parts(g, parts)
+            T = count_transversal_mis(pg)
+            assert T <= n, (edges(g), colour)
+            if n <= 6:
+                assert T == len(naive_transversal_mis_list(pg)), (edges(g), colour)
+                checked += 1
+            best[n] = max(best.get(n, 0), T)
+            partitions += 1
+    assert (partitions, checked) == (5065, 972)
+    assert best == {3: 1, 4: 1, 5: 2, 6: 2, 7: 3}
 
 
 def test_transversal_count_vs_size_on_dense_gadgets():
@@ -395,7 +437,7 @@ def test_two_uniform_hypergraph_counts_like_its_graph():
     rng = random.Random(31)
     for _ in range(60):
         g = random_graph(rng, rng.randint(0, 10), rng.random())
-        h = Hypergraph.from_edges(g.n, g.edges())
+        h = Hypergraph.from_edges(g.n, edges(g))
         for k in range(g.n + 1):
             seen_h: list[int] = []
             seen_g: list[int] = []
@@ -481,7 +523,7 @@ def test_k4_free_cycle_blowup_counts_pinned(k, want):
     g = tight_cycle_blowup(k, 4, 2).graph
     assert count_k_mis(g, k) == want
     nx = pytest.importorskip("networkx")
-    h = nx.Graph(g.edges())
+    h = nx.Graph(edges(g))
     h.add_nodes_from(range(g.n))
     comp = nx.complement(h)
     assert sum(len(c) == k for c in nx.find_cliques(comp)) == want
@@ -531,7 +573,7 @@ def test_counts_match_networkx_on_random_graphs_up_to_n40():
             g = random_graph(rng, n, p)
             h = nx.Graph()
             h.add_nodes_from(range(n))
-            h.add_edges_from(g.edges())
+            h.add_edges_from(edges(g))
             by_size = [0] * (n + 1)
             for clique in nx.find_cliques(nx.complement(h)):
                 by_size[len(clique)] += 1
