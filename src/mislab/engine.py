@@ -22,7 +22,8 @@ last pick is or blocks the lowest open vertex w, so it is in ``w | link[w | S]``
 
 The counters build none of these tables themselves: they read them from the
 immutable objects, which build each once, on first use (``Graph.closed``,
-``Hypergraph.rest_masks`` and ``link``, ``PartitionedGraph.part_masks``).
+``Hypergraph.rest_masks``, ``link`` and ``max_sizes``, the guard's two
+inputs, and ``PartitionedGraph.part_masks``).
 Counting one graph at every k then packs its masks once.
 
 ``transversal_reduction`` runs no counter per random split.  Every split's
@@ -337,9 +338,10 @@ def hypergraph_enumerate_k_mis(
             visitor(0)
         return int(h.n == 0)
     full, rests, found = (1 << h.n) - 1, h.rest_masks, 0
-    top = max(map(len, h.edges), default=2) - 2
+    widest, most_rests = h.max_sizes
+    top = widest - 2
     # partners(v, ...): the vertices completing an edge with bit v and the chosen set.
-    if sum(comb(k - 1, j) for j in range(1, top + 1)) <= max(map(len, rests), default=0):
+    if sum(comb(k - 1, j) for j in range(1, top + 1)) <= most_rests:
         get = h.link.get
         def partners(v: int, chosen: int, subs: list[int]) -> int:
             x = 0

@@ -5,9 +5,10 @@ Vertices are 0..n-1 everywhere.  Vertex sets travel as plain int bitmasks
 of vertex indices and normalize it first.  All objects are immutable after
 construction, so they can be shared freely across worker processes.  They
 cache derived bitmask tables (a graph's closed neighborhoods, a hypergraph's
-per-vertex edge rests and its link table, a partition's part masks) on first
-use; the cache is not a field, so it never changes equality, hashing or the
-stored structure, and graphs and hypergraphs pickle without it.
+per-vertex edge rests, its link table and its largest sizes, a partition's
+part masks) on first use; the cache is not a field, so it never changes
+equality, hashing or the stored structure, and graphs and hypergraphs pickle
+without it.
 """
 
 from __future__ import annotations
@@ -82,10 +83,14 @@ class Graph:
                 raise ValueError(f"neighbor bit out of range at vertex {v}")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for v in range(self.n):
-            for u in iter_bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
+        adj = self.adj
+        for v, row in enumerate(adj):
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency ({u},{v})")
+                row ^= low
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -167,7 +172,9 @@ def has_clique(g: Graph, t: int) -> bool:
     """Decide whether g contains t pairwise-adjacent vertices.
 
     Branch-and-bound over candidate bitmasks; a greedy coloring of the
-    candidate set bounds the largest clique reachable from each branch.
+    candidate set bounds the largest clique reachable from each branch
+    (Tomita & Seki's MCQ).  A branch that needs two more vertices is settled
+    without coloring: it holds a clique iff its candidate set holds an edge.
     """
     if t < 1:
         raise ValueError("clique size must be >= 1")
@@ -175,7 +182,15 @@ def has_clique(g: Graph, t: int) -> bool:
         return g.n >= 1
     adj = g.adj
 
-    def expand(cand: int, size: int) -> bool:
+    def expand(cand: int, need: int) -> bool:
+        if need == 2:
+            rest = cand
+            while rest:
+                low = rest & -rest
+                if adj[low.bit_length() - 1] & cand:
+                    return True
+                rest ^= low
+            return False
         # Greedy color classes; a clique inside cand meets each class once.
         classes = []
         rest = cand
@@ -184,24 +199,25 @@ def has_clique(g: Graph, t: int) -> bool:
             avail = rest
             while avail:
                 low = avail & -avail
-                v = low.bit_length() - 1
                 cls |= low
-                avail &= ~adj[v]
+                avail &= ~adj[low.bit_length() - 1]
                 avail ^= low
             classes.append(cls)
             rest &= ~cls
-        numbered = [(v, ci + 1) for ci, cls in enumerate(classes) for v in iter_bits(cls)]
-        for v, color in reversed(numbered):
-            if size + color < t:
-                return False
-            if size + 1 == t:
-                return True
-            if expand(cand & adj[v], size + 1):
-                return True
-            cand &= ~(1 << v)
+        # Branch on the last class first, highest vertex first.  A clique
+        # that takes its top vertex from class c meets at most c classes, so
+        # the search ends at the first class below need.
+        for color in range(len(classes), need - 1, -1):
+            cls = classes[color - 1]
+            while cls:
+                v = cls.bit_length() - 1
+                if expand(cand & adj[v], need - 1):
+                    return True
+                cand ^= 1 << v
+                cls ^= 1 << v
         return False
 
-    return g.n >= t and expand(g.full_mask(), 0)
+    return g.n >= t and expand(g.full_mask(), t)
 
 
 def cliques_of_size(g: Graph, r: int) -> Iterator[tuple[int, ...]]:
@@ -274,6 +290,11 @@ class Hypergraph:
             for rest in rests:
                 link[rest] = link.get(rest, 0) | 1 << w
         return link
+
+    @cached_property
+    def max_sizes(self) -> tuple[int, int]:
+        """Largest edge size (2 with no edges) and most edges through one vertex."""
+        return max(map(len, self.edges), default=2), max(map(len, self.rest_masks), default=0)
 
     def incident_edges(self, x: int) -> tuple[int, ...]:
         """Indices of the edges containing vertex x, in edge order."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -20,6 +21,7 @@ from mislab import (
     is_maximal_independent,
     partite_complement,
     tight_cycle,
+    tight_cycle_blowup,
 )
 from naive import (
     edges,
@@ -43,6 +45,26 @@ def test_graph_validation_rejects_bad_input():
         Graph(1, (0b10,))  # bit out of range
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
+
+
+def test_one_sided_adjacency_bit_is_rejected_everywhere():
+    # Flip one off-diagonal bit in one row only.  Exactly one pair is then
+    # asymmetric, and the error names it with the row that holds the bit last.
+    rng = random.Random(41)
+    cases = [(g, range(g.n)) for g in (random_graph(rng, n % 9 + 2, rng.random()) for n in range(45))]
+    big = tight_cycle_blowup(5, 3, 4).graph
+    assert big.n == 80
+    cases.append((big, [37]))
+    for g, rows in cases:
+        for v in rows:
+            for u in range(g.n):
+                if u == v:
+                    continue
+                adj = list(g.adj)
+                adj[v] ^= 1 << u
+                a, b = (u, v) if adj[v] >> u & 1 else (v, u)
+                with pytest.raises(ValueError, match=rf"^asymmetric adjacency \({a},{b}\)$"):
+                    Graph(g.n, tuple(adj))
 
 
 def test_independence_basics():
@@ -82,13 +104,46 @@ def test_has_clique_examples():
         has_clique(Graph.empty(3), 0)
 
 
+def complete_multipartite(part_of: list[int]) -> Graph:
+    """u ~ v iff the two vertices lie in different parts."""
+    n = len(part_of)
+    return Graph(n, tuple(sum(1 << u for u in range(n) if part_of[u] != p) for p in part_of))
+
+
 def test_has_clique_matches_naive_oracle():
+    # Complete multipartite graphs are where the coloring bound is tight:
+    # the clique number is the number of nonempty parts.
     rng = random.Random(23)
-    for _ in range(150):
+    graphs = [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(150)]
+    for _ in range(60):
         n = rng.randint(1, 10)
-        g = random_graph(rng, n, rng.random())
-        for t in range(1, n + 2):
+        graphs.append(complete_multipartite([rng.randrange(rng.randint(1, n)) for _ in range(n)]))
+    for g in graphs:
+        for t in range(1, g.n + 2):
             assert has_clique(g, t) == naive_has_clique(g, t), (edges(g), t)
+
+
+def test_has_clique_coloring_bound_node_count_pinned():
+    # Each call of the inner recursion is one search-tree node.  The greedy
+    # coloring settles a K_5-free complete 4-partite graph at the root; a
+    # search without it walks thousands of nodes on that graph.
+    def nodes(g, t):
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            if event == "call" and frame.f_code.co_name == "expand":
+                count += 1
+
+        sys.setprofile(profile)
+        try:
+            found = has_clique(g, t)
+        finally:
+            sys.setprofile(None)
+        return found, count
+
+    assert nodes(complete_multipartite([v % 4 for v in range(120)]), 5) == (False, 1)
+    assert nodes(tight_cycle_blowup(10, 4, 2).graph, 4) == (False, 9)
 
 
 def test_shadow():
@@ -204,6 +259,7 @@ def test_hypergraph_rest_masks_match_definition_and_are_cached():
         for k in range(min(n, 3) + 1):
             hypergraph_count_k_mis(h, k)
         assert h.rest_masks is rests
+        assert h.max_sizes == (max(map(len, h.edges), default=2), max(map(len, want), default=0))
         fresh = Hypergraph(h.n, h.edges)
         assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
         back = pickle.loads(pickle.dumps(h))
@@ -224,6 +280,7 @@ def test_pickle_drops_cached_tables():
         back = pickle.loads(blob)
         assert back == g and hash(back) == hash(g)
         assert [count_k_mis(back, k) for k in range(g.n + 1)] == counts
+    tables = {"rest_masks", "link", "max_sizes"}
     for _ in range(30):
         h = random_mixed_hypergraph(rng, rng.randint(0, 10), rng.randint(0, 12))
         fresh = pickle.dumps(Hypergraph(h.n, h.edges))
@@ -231,16 +288,16 @@ def test_pickle_drops_cached_tables():
         # k = 1 always takes the link walk; k = 0 reads no table, so on no
         # vertices the tables are built by hand.
         if h.n == 0:
-            assert not {"rest_masks", "link"} & vars(h).keys()
-            assert h.link == {}
-        assert "rest_masks" in vars(h) and "link" in vars(h)
+            assert not tables & vars(h).keys()
+            assert h.link == {} and h.max_sizes == (2, 0)
+        assert tables <= vars(h).keys()
         blob = pickle.dumps(h)
         assert len(blob) == len(fresh)
-        assert not {"rest_masks", "link"} & vars(pickle.loads(blob)).keys()
+        assert not tables & vars(pickle.loads(blob)).keys()
         back = pickle.loads(blob)
         assert back == h and hash(back) == hash(h)
         assert [hypergraph_count_k_mis(back, k) for k in range(min(h.n, 3) + 1)] == counts
-        assert back.link == h.link
+        assert back.link == h.link and back.max_sizes == h.max_sizes
 
 
 def test_part_masks_match_parts_and_are_kept():
