@@ -20,11 +20,25 @@ vertices while sum C(k-1, 1..top) is at most the longest rest list, else it
 scans p's edge rests.  The count cut and the last pick run in the parent: the
 last pick is or blocks the lowest open vertex w, so it is in ``w | link[w | S]``.
 
-The counters build none of these tables themselves: they read them from the
-immutable objects, which build each once, on first use (``Graph.closed``,
-``Hypergraph.rest_masks``, ``link`` and ``max_sizes``, the guard's two
-inputs, and ``PartitionedGraph.part_masks``).
-Counting one graph at every k then packs its masks once.
+The counters read these tables from the immutable objects, which build each
+once, on first use (``Graph.closed``, ``Hypergraph.rest_masks``, ``link`` and
+``max_sizes``, the guard's two inputs, and ``PartitionedGraph.part_masks``).
+
+``count_k_mis`` and ``count_all_mis`` share a one-entry memo: the last graph
+object either was asked about, the size first asked (None for every size)
+and, once a second size of that object is asked, its counts at every size
+from one ``enumerate_k_mis(g, None)`` walk that tallies the sets by size.
+Later sizes of that object read the memo, so asking one graph every size
+costs one walk.  A caller that asks one size, or the same size again, keeps
+the size-k walk: the all-sizes walk can visit far more sets (a perfect
+matching on 60 vertices has 2^30 MIS's, none of size 10).  A caller that
+asks two sizes of a large graph pays one all-sizes walk, what
+``count_all_mis`` costs on it.  The memo keys by identity and holds the
+graph, so an id is never reused while it is held; an equal but distinct
+graph walks again.  It is not a cached property on ``Graph``: a third
+cached table grows every graph's instance dict, and callers that keep
+thousands of small graphs alive would pay that memory for a profile only
+the last one needs.
 
 ``transversal_reduction`` runs no counter per random split.  Every split's
 transversal MIS's come from one list, the k-MIS's of the kept subgraph with
@@ -129,13 +143,51 @@ def enumerate_k_mis(
     return found
 
 
+# The last graph a counter was asked about, the size first asked (None for
+# every size), and its counts at sizes 0..n once a second size was asked,
+# else ().  Keyed by identity and holding the graph, so its id cannot be
+# reused while it is here.
+_memo: tuple[Graph | None, int | None, tuple[int, ...]] = (None, None, ())
+
+
+def _profile(g: Graph) -> tuple[int, ...]:
+    """Count g's MIS's at every size in one walk and keep them in the memo."""
+    global _memo
+    tally = [0] * (g.n + 1)
+
+    def visit(s: int) -> None:
+        tally[s.bit_count()] += 1
+
+    enumerate_k_mis(g, None, visit)
+    _memo = (g, None, tuple(tally))
+    return _memo[2]
+
+
 def count_k_mis(g: Graph, k: int) -> int:
     """Exact number of maximal independent sets of size k."""
+    global _memo
+    if not 0 <= k <= g.n:
+        raise ValueError(f"k={k} outside 0..{g.n}")
+    last, asked, profile = _memo
+    if last is g:
+        if profile:
+            return profile[k]
+        if asked != k:
+            return _profile(g)[k]
+    _memo = (g, k, ())
     return enumerate_k_mis(g, k)
 
 
 def count_all_mis(g: Graph) -> int:
     """Exact number of maximal independent sets of any size."""
+    global _memo
+    last, asked, profile = _memo
+    if last is g:
+        if profile:
+            return sum(profile)
+        if asked is not None:
+            return sum(_profile(g))
+    _memo = (g, None, ())
     return enumerate_k_mis(g, None)
 
 

@@ -72,14 +72,19 @@ def graph6_decode(data: bytes | str) -> Graph:
     if bits & ((1 << pad) - 1):
         raise ValueError("graph6 padding bits set in the last byte")
     bits >>= pad
+    # Column j is the next j bits, pair (0, j) first: one shift and mask
+    # reads it, and only its set bits are walked.
     rows = [0] * n
-    pos = nbits - 1
+    top = nbits
     for j in range(1, n):
-        for i in range(j):
-            if bits >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos -= 1
+        top -= j
+        col = bits >> top & ((1 << j) - 1)
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            col ^= low
     return Graph(n, tuple(rows))
 
 

@@ -116,6 +116,87 @@ def test_counts_match_naive_oracle():
         assert count_all_mis(g) == sum(want.values())
 
 
+def test_memoised_profile_counts_match_naive_in_every_order():
+    # A second size asked of one graph fills a one-graph memo with every
+    # size's count, and later sizes and count_all_mis read it; alternating
+    # two graphs replaces the memo on every call both are asked.
+    rng = random.Random(606)
+    graphs = [random_graph(rng, n, rng.random()) for n in range(13) for _ in range(6)]
+    for g, other in zip(graphs, graphs[1:] + graphs[:1]):
+        want = [naive_mis_profile(g).get(k, 0) for k in range(g.n + 1)]
+        assert [count_k_mis(g, k) for k in range(g.n + 1)] == want
+        assert count_all_mis(g) == sum(want)
+        fresh = Graph(g.n, g.adj)
+        assert [count_k_mis(fresh, k) for k in reversed(range(g.n + 1))] == want[::-1]
+        assert count_all_mis(fresh) == sum(want)
+        want_other = [naive_mis_profile(other).get(k, 0) for k in range(other.n + 1)]
+        for k in range(max(g.n, other.n) + 1):
+            if k <= g.n:
+                assert count_k_mis(g, k) == want[k]
+            if k <= other.n:
+                assert count_k_mis(other, k) == want_other[k]
+        assert count_all_mis(g) == sum(want)
+
+
+def _count_walks(monkeypatch) -> list:
+    # count_k_mis and count_all_mis look enumerate_k_mis up by module
+    # attribute, so wrapping it there records every walk they take.
+    walks = []
+    walk = engine.enumerate_k_mis
+
+    def counted(g, k, visitor=None):
+        walks.append((g, k))
+        return walk(g, k, visitor)
+
+    monkeypatch.setattr(engine, "enumerate_k_mis", counted)
+    return walks
+
+
+def test_memo_is_keyed_by_identity_and_keeps_the_range_check(monkeypatch):
+    walks = _count_walks(monkeypatch)
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
+    want = naive_mis_profile(g)
+    assert count_k_mis(g, 3) == want.get(3, 0)
+    assert count_k_mis(g, 2) == want.get(2, 0)
+    assert walks == [(g, 3), (g, None)]
+    # Reading the memo before the range check would return a count or an IndexError.
+    for k in (-1, g.n + 1):
+        with pytest.raises(ValueError, match=f"k={k} outside 0..6"):
+            count_k_mis(g, k)
+    twin = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
+    assert twin == g and twin is not g
+    walks.clear()
+    assert count_k_mis(twin, 3) == want.get(3, 0)
+    assert count_k_mis(twin, 4) == want.get(4, 0)
+    assert count_all_mis(g) == sum(want.values())
+    assert [(h is twin, k) for h, k in walks] == [(True, 3), (True, None), (False, None)]
+
+
+def test_profile_walk_runs_only_when_a_second_size_is_asked(monkeypatch):
+    walks = _count_walks(monkeypatch)
+    big = tight_cycle_blowup(10, 4, 2).graph
+    assert count_k_mis(big, 10) == 6688
+    assert count_k_mis(big, 10) == 6688
+    assert [k for _, k in walks] == [10, 10]
+    # A perfect matching on 40 vertices has 2^20 MIS's, none of size 6.
+    walks.clear()
+    matching = Graph.from_edges(40, [(2 * i, 2 * i + 1) for i in range(20)])
+    assert count_k_mis(matching, 6) == 0
+    assert [k for _, k in walks] == [6]
+    walks.clear()
+    g = Graph.cycle(9)
+    want = [naive_mis_profile(g).get(k, 0) for k in range(g.n + 1)]
+    assert [count_k_mis(g, k) for k in range(g.n + 1)] == want
+    assert count_all_mis(g) == sum(want)
+    assert [k for _, k in walks] == [0, None]
+    walks.clear()
+    g = Graph.cycle(9)
+    assert count_all_mis(g) == sum(want)
+    assert [count_k_mis(g, k) for k in range(1, g.n + 1)] == want[1:]
+    assert count_all_mis(g) == sum(want)
+    assert [k for _, k in walks] == [None, None]
+
+
 def test_count_invariant_under_relabeling():
     rng = random.Random(55)
     for _ in range(60):
