@@ -36,6 +36,7 @@ from .engine import (
     count_k_mis,
     count_transversal_mis,
     hypergraph_count_k_mis,
+    hypergraph_enumerate_k_mis,
 )
 from .formats import (
     graph6_decode,
@@ -187,11 +188,13 @@ def cmd_count(args: argparse.Namespace) -> int:
     obj = _load_countable(args.graph)
     if isinstance(obj, Hypergraph):
         if args.transversal or args.forbid_clique is not None:
-            raise CliError("hypergraph inputs support plain --k counting only")
+            raise CliError("hypergraph inputs support plain counting only")
         if args.k is None:
-            raise CliError("hypergraph counting needs --k")
-        value = hypergraph_count_k_mis(obj, args.k)
-        what = f"hypergraph {args.k}-MIS count"
+            value = hypergraph_enumerate_k_mis(obj, None)
+            what = "hypergraph MIS count"
+        else:
+            value = hypergraph_count_k_mis(obj, args.k)
+            what = f"hypergraph {args.k}-MIS count"
     elif args.forbid_clique is not None and has_clique(obj, args.forbid_clique):
         print(f"graph contains a K_{args.forbid_clique}", file=sys.stderr)
         return EXIT_STRUCTURAL

@@ -13,32 +13,39 @@ size calls no child: it must cover every undominated vertex, so it lies in
 the closed neighborhood of the lowest one, and each such candidate is
 settled with a single mask compare.
 
-The hypergraph counter keeps a "blocked" mask instead: the outside vertices
-that would complete an edge if added.  A pick p newly blocks ``link[p | S]``
-over the chosen subsets S (0 included) of up to top = largest edge - 2
-vertices while sum C(k-1, 1..top) is at most the longest rest list, else it
-scans p's edge rests.  The count cut and the last pick run in the parent: the
-last pick is or blocks the lowest open vertex w, so it is in ``w | link[w | S]``.
+The hypergraph counter ``hypergraph_enumerate_k_mis`` is likewise one core
+for a fixed size k and for every size (k=None).  It keeps a "blocked" mask
+instead: the outside vertices that would complete an edge if added.  A pick
+p newly blocks ``link[p | S]`` over the chosen subsets S (0 included) of up
+to top = largest edge - 2 vertices while sum C(k-1, 1..top) is at most the
+longest rest list, else it scans p's edge rests; without a size target the
+guard takes the largest chosen set, k = n.  A skipped vertex needs an edge
+that the future picks can complete, at most ``need`` of them for size k.
+For size k the count cut and the last pick run in the parent: the last pick
+is or blocks the lowest open vertex w, so it is in ``w | link[w | S]``.
+Without a size target both are off, and a set counts once no unblocked
+candidate is left and it and its blocked mask cover every vertex.
 
 The counters read these tables from the immutable objects, which build each
 once, on first use (``Graph.closed``, ``Hypergraph.rest_masks``, ``link`` and
 ``max_sizes``, the guard's two inputs, and ``PartitionedGraph.part_masks``).
 
-``count_k_mis`` and ``count_all_mis`` share a one-entry memo: the last graph
-object either was asked about, the size first asked (None for every size)
-and, once a second size of that object is asked, its counts at every size
-from one ``enumerate_k_mis(g, None)`` walk that tallies the sets by size.
-Later sizes of that object read the memo, so asking one graph every size
-costs one walk.  A caller that asks one size, or the same size again, keeps
-the size-k walk: the all-sizes walk can visit far more sets (a perfect
-matching on 60 vertices has 2^30 MIS's, none of size 10).  A caller that
-asks two sizes of a large graph pays one all-sizes walk, what
-``count_all_mis`` costs on it.  The memo keys by identity and holds the
-graph, so an id is never reused while it is held; an equal but distinct
-graph walks again.  It is not a cached property on ``Graph``: a third
-cached table grows every graph's instance dict, and callers that keep
-thousands of small graphs alive would pay that memory for a profile only
-the last one needs.
+``count_k_mis``, ``count_all_mis`` and ``hypergraph_count_k_mis`` share a
+one-entry memo: the last graph or hypergraph object any of them was asked
+about, the size first asked (None for every size) and, once a second size
+of that object is asked, its counts at every size from one all-sizes walk
+of its type's core that tallies the sets by size.  Later sizes of that
+object read the memo, so asking one object every size costs one walk.  A
+caller that asks one size, or the same size again, keeps the size-k walk:
+the all-sizes walk can visit far more sets (a perfect matching on 60
+vertices has 2^30 MIS's, none of size 10).  A caller that asks two sizes of
+a large object pays one all-sizes walk, what ``count_all_mis`` costs on a
+graph.  The memo keys by identity and holds the object, so an id is never
+reused while it is held; an equal but distinct object walks again.  It is
+not a cached property on ``Graph`` or ``Hypergraph``: a further cached
+table grows every object's instance dict, and callers that keep thousands
+of small objects alive would pay that memory for a profile only the last
+one needs.
 
 ``transversal_reduction`` runs no counter per random split.  Every split's
 transversal MIS's come from one list, the k-MIS's of the kept subgraph with
@@ -143,39 +150,44 @@ def enumerate_k_mis(
     return found
 
 
-# The last graph a counter was asked about, the size first asked (None for
-# every size), and its counts at sizes 0..n once a second size was asked,
-# else ().  Keyed by identity and holding the graph, so its id cannot be
-# reused while it is here.
-_memo: tuple[Graph | None, int | None, tuple[int, ...]] = (None, None, ())
+# The last graph or hypergraph a counter was asked about, the size first
+# asked (None for every size), and its counts at sizes 0..n once a second
+# size was asked, else ().  Keyed by identity and holding the object, so its
+# id cannot be reused while it is here.
+_memo: tuple[Graph | Hypergraph | None, int | None, tuple[int, ...]] = (None, None, ())
 
 
-def _profile(g: Graph) -> tuple[int, ...]:
-    """Count g's MIS's at every size in one walk and keep them in the memo."""
+def _profile(x: Graph | Hypergraph, walk: Callable) -> tuple[int, ...]:
+    """Count x's MIS's at every size in one walk and keep them in the memo."""
     global _memo
-    tally = [0] * (g.n + 1)
+    tally = [0] * (x.n + 1)
 
     def visit(s: int) -> None:
         tally[s.bit_count()] += 1
 
-    enumerate_k_mis(g, None, visit)
-    _memo = (g, None, tuple(tally))
+    walk(x, None, visit)
+    _memo = (x, None, tuple(tally))
     return _memo[2]
+
+
+def _count_k(x: Graph | Hypergraph, k: int, walk: Callable) -> int:
+    """Size-k count of x by the walker of its type, through the memo."""
+    global _memo
+    if not 0 <= k <= x.n:
+        raise ValueError(f"k={k} outside 0..{x.n}")
+    last, asked, profile = _memo
+    if last is x:
+        if profile:
+            return profile[k]
+        if asked != k:
+            return _profile(x, walk)[k]
+    _memo = (x, k, ())
+    return walk(x, k)
 
 
 def count_k_mis(g: Graph, k: int) -> int:
     """Exact number of maximal independent sets of size k."""
-    global _memo
-    if not 0 <= k <= g.n:
-        raise ValueError(f"k={k} outside 0..{g.n}")
-    last, asked, profile = _memo
-    if last is g:
-        if profile:
-            return profile[k]
-        if asked != k:
-            return _profile(g)[k]
-    _memo = (g, k, ())
-    return enumerate_k_mis(g, k)
+    return _count_k(g, k, enumerate_k_mis)
 
 
 def count_all_mis(g: Graph) -> int:
@@ -186,7 +198,7 @@ def count_all_mis(g: Graph) -> int:
         if profile:
             return sum(profile)
         if asked is not None:
-            return sum(_profile(g))
+            return sum(_profile(g, enumerate_k_mis))
     _memo = (g, None, ())
     return enumerate_k_mis(g, None)
 
@@ -374,26 +386,29 @@ def transversal_reduction(
 
 def hypergraph_enumerate_k_mis(
     h: Hypergraph,
-    k: int,
+    k: int | None,
     visitor: Callable[[int], None] | None = None,
 ) -> int:
     """Count (and optionally visit) size-k maximal independent sets of h.
 
     Independent means containing no edge; maximal means every outside vertex
-    closes some edge when added.  Sets are visited in lexicographic order of
-    their sorted vertices; the module docstring gives the cuts and the guard.
+    closes some edge when added.  ``k=None`` visits the MIS's of every size.
+    Sets are visited in lexicographic order of their sorted vertices; the
+    module docstring gives the cuts and the guard.
     """
-    if not 0 <= k <= h.n:
+    if k is not None and not 0 <= k <= h.n:
         raise ValueError(f"k={k} outside 0..{h.n}")
-    if k == 0:  # as in a graph: the empty set is maximal only on no vertices
+    if k == 0 or not h.n:  # as in a graph: the empty set is maximal only on no vertices
         if visitor is not None and h.n == 0:
             visitor(0)
         return int(h.n == 0)
     full, rests, found = (1 << h.n) - 1, h.rest_masks, 0
     widest, most_rests = h.max_sizes
     top = widest - 2
-    # partners(v, ...): the vertices completing an edge with bit v and the chosen set.
-    if sum(comb(k - 1, j) for j in range(1, top + 1)) <= most_rests:
+    # partners(v, ...): the vertices completing an edge with bit v and the chosen
+    # set.  Without a size target the chosen set may grow to n - 1 before a pick.
+    picks = h.n if k is None else k
+    if sum(comb(picks - 1, j) for j in range(1, top + 1)) <= most_rests:
         get = h.link.get
         def partners(v: int, chosen: int, subs: list[int]) -> int:
             x = 0
@@ -410,6 +425,8 @@ def hypergraph_enumerate_k_mis(
                     x |= out
             return x
 
+    # need counts the picks still to make; without a size target it starts
+    # at 0 and only falls, so the count cuts (>= need) never fire.
     def rec(pos: int, need: int, chosen: int, blocked: int, subs: list[int]) -> None:
         nonlocal found
         fut = (full >> pos << pos) & ~blocked
@@ -426,18 +443,27 @@ def hypergraph_enumerate_k_mis(
                         visitor(chosen | low)
                 cand ^= low
             return
-        # Each skipped vertex needs an edge that at most `need` future picks complete.
+        if not fut:
+            # Nothing left to pick: a leaf without a size target, else dead.
+            if need <= 0 and chosen | blocked == full:
+                found += 1
+                if visitor is not None:
+                    visitor(chosen)
+            return
+        # Each skipped vertex needs an edge that at most `need` future picks
+        # complete, or any number of them without a size target.
         reach = chosen | fut
+        room = need if need > 0 else widest
         free = ((1 << pos) - 1) & ~(chosen | blocked)
         while free:
             low = free & -free
             for r in rests[low.bit_length() - 1]:
-                if not r & ~reach and (r & ~chosen).bit_count() <= need:
+                if not r & ~reach and (r & ~chosen).bit_count() <= room:
                     break
             else:
                 return
             free ^= low
-        while fut.bit_count() >= need:
+        while fut and fut.bit_count() >= need:
             low = fut & -fut
             fut ^= low  # now the candidates above the pick
             nb = blocked | partners(low, chosen, subs)
@@ -445,10 +471,10 @@ def hypergraph_enumerate_k_mis(
                 grown = subs + [s | low for s in subs if s.bit_count() < top]
                 rec(low.bit_length(), need - 1, chosen | low, nb, grown)
 
-    rec(0, k, 0, 0, [0])
+    rec(0, 0 if k is None else k, 0, 0, [0])
     return found
 
 
 def hypergraph_count_k_mis(h: Hypergraph, k: int) -> int:
     """Exact number of size-k maximal independent sets of a hypergraph."""
-    return hypergraph_enumerate_k_mis(h, k)
+    return _count_k(h, k, hypergraph_enumerate_k_mis)

@@ -13,9 +13,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mislab import Graph, graph6_decode, graph6_encode, count_k_mis, has_clique
+from mislab import Graph, graph6_decode, graph6_encode, count_k_mis, has_clique, star_hypergraph
 from mislab.cli import main
 from mislab.search import THEOREM_IDS
+from naive import naive_hyper_count_k_mis
 
 
 def run(argv, capsys):
@@ -165,8 +166,24 @@ def test_count_hypergraph_json(capsys, tmp_path):
     assert code == 0
     code, out, _ = run(["count", "--graph", str(path), "--k", "2"], capsys)
     assert code == 0 and out.strip() == "5"
-    code, _, err = run(["count", "--graph", str(path)], capsys)
-    assert code == 2 and "--k" in err
+    for extra in (["--transversal", "--parts", str(path)], ["--forbid-clique", "3"]):
+        code, out, err = run(["count", "--graph", str(path)] + extra, capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_count_hypergraph_every_size(capsys, tmp_path):
+    # Without --k a hypergraph is counted at every size, as a graph is.
+    path = tmp_path / "star.json"
+    for n in (4, 5, 8):
+        code, _, _ = run(["construct", "star-hyper", "--n", str(n), "--out", str(path)], capsys)
+        assert code == 0
+        h = star_hypergraph(n)
+        want = sum(naive_hyper_count_k_mis(h, k) for k in range(n + 1))
+        code, out, _ = run(["count", "--graph", str(path)], capsys)
+        assert code == 0 and out == f"{want}\n"
+        code, out, _ = run(["count", "--graph", str(path), "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"] == {"what": "hypergraph MIS count", "value": want}
 
 
 def test_count_bad_file_exits_2(capsys, tmp_path):

@@ -138,17 +138,17 @@ def test_memoised_profile_counts_match_naive_in_every_order():
         assert count_all_mis(g) == sum(want)
 
 
-def _count_walks(monkeypatch) -> list:
-    # count_k_mis and count_all_mis look enumerate_k_mis up by module
-    # attribute, so wrapping it there records every walk they take.
+def _count_walks(monkeypatch, name: str = "enumerate_k_mis") -> list:
+    # The counters look their walker up by module attribute, so wrapping it
+    # there records every walk they take.
     walks = []
-    walk = engine.enumerate_k_mis
+    walk = getattr(engine, name)
 
     def counted(g, k, visitor=None):
         walks.append((g, k))
         return walk(g, k, visitor)
 
-    monkeypatch.setattr(engine, "enumerate_k_mis", counted)
+    monkeypatch.setattr(engine, name, counted)
     return walks
 
 
@@ -525,6 +525,10 @@ def test_two_uniform_hypergraph_counts_like_its_graph():
             hypergraph_enumerate_k_mis(h, k, seen_h.append)
             enumerate_k_mis(g, k, seen_g.append)
             assert seen_h == seen_g and len(seen_h) == count_k_mis(g, k)
+        seen_h, seen_g = [], []
+        hypergraph_enumerate_k_mis(h, None, seen_h.append)
+        enumerate_k_mis(g, None, seen_g.append)
+        assert seen_h == seen_g and len(seen_h) == count_all_mis(g)
 
 
 def test_window_hypergraph_regression_values():
@@ -574,6 +578,86 @@ def test_wide_edges_take_the_rest_scan():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1184", "0"]
+
+
+def _hyper_family(seed: int) -> list[Hypergraph]:
+    rng = random.Random(seed)
+    family = []
+    for n in range(12):
+        family += [random_hypergraph3(rng, n, rng.random()) for _ in range(3)]
+        family += [random_mixed_hypergraph(rng, n, rng.randint(0, 16)) for _ in range(3)]
+    return family
+
+
+def test_hypergraph_every_size_walk_visits_in_order_on_both_updates():
+    # k=None visits every MIS in lexicographic order of its sorted vertices.
+    # A scratch copy with a forged guard input forces each partner update: a
+    # huge edge count through one vertex takes the link walk, -1 the scan.
+    for h in _hyper_family(808):
+        every: list[int] = []
+        for k in range(h.n + 1):
+            every += naive_hyper_mis_list(h, k)
+        want = sorted(every, key=lambda m: [v for v in range(h.n) if m >> v & 1])
+        seen: list[int] = []
+        assert hypergraph_enumerate_k_mis(h, None, seen.append) == len(want)
+        assert seen == want, h
+        widest = h.max_sizes[0]
+        for most, walks in ((10**9, True), (-1, False)):
+            copy = Hypergraph(h.n, h.edges)
+            vars(copy)["max_sizes"] = (widest, most)
+            link = vars(copy)["link"] = CountingLink(h.link)
+            seen = []
+            assert hypergraph_enumerate_k_mis(copy, None, seen.append) == len(want)
+            assert seen == want, (h, walks)
+            assert (link.reads > 0) == walks or h.n < 2, (h, walks)
+
+
+def test_hypergraph_memoised_profile_counts_match_naive_in_every_order():
+    # The hypergraph counter shares the graph counters' one-entry memo: a
+    # second size asked of one object fills it from one all-sizes walk.
+    family = _hyper_family(909)
+    g = Graph.cycle(7)
+    want_g = [naive_mis_profile(g).get(k, 0) for k in range(g.n + 1)]
+    for h, other in zip(family, family[1:] + family[:1]):
+        want = [naive_hyper_count_k_mis(h, k) for k in range(h.n + 1)]
+        assert [hypergraph_count_k_mis(h, k) for k in range(h.n + 1)] == want
+        fresh = Hypergraph(h.n, h.edges)
+        assert [hypergraph_count_k_mis(fresh, k) for k in reversed(range(h.n + 1))] == want[::-1]
+        want_other = [naive_hyper_count_k_mis(other, k) for k in range(other.n + 1)]
+        for k in range(max(h.n, other.n) + 1):
+            if k <= h.n:
+                assert hypergraph_count_k_mis(h, k) == want[k]
+            if k <= other.n:
+                assert hypergraph_count_k_mis(other, k) == want_other[k]
+            # A graph asked in between replaces the memo as well.
+            assert count_k_mis(g, k % 8) == want_g[k % 8]
+
+
+def test_hypergraph_memo_is_keyed_by_identity_and_keeps_the_range_check(monkeypatch):
+    walks = _count_walks(monkeypatch, "hypergraph_enumerate_k_mis")
+    h = Hypergraph.from_edges(6, [(0, 1, 2), (2, 3, 4), (1, 4, 5), (0, 5)])
+    want = [naive_hyper_count_k_mis(h, k) for k in range(h.n + 1)]
+    assert hypergraph_count_k_mis(h, 3) == want[3]
+    assert hypergraph_count_k_mis(h, 2) == want[2]
+    assert walks == [(h, 3), (h, None)]
+    # Reading the memo before the range check would return a count or an IndexError.
+    for k in (-1, h.n + 1):
+        with pytest.raises(ValueError, match=f"k={k} outside 0..6"):
+            hypergraph_count_k_mis(h, k)
+    twin = Hypergraph.from_edges(6, [(0, 1, 2), (2, 3, 4), (1, 4, 5), (0, 5)])
+    assert twin == h and twin is not h
+    walks.clear()
+    assert [hypergraph_count_k_mis(twin, k) for k in range(h.n + 1)] == want
+    assert hypergraph_count_k_mis(h, 4) == want[4]
+    assert [(x is twin, k) for x, k in walks] == [(True, 0), (True, None), (False, 4)]
+
+
+def test_hypergraph_profile_walk_runs_only_when_a_second_size_is_asked(monkeypatch):
+    walks = _count_walks(monkeypatch, "hypergraph_enumerate_k_mis")
+    h = window_hypergraph(4, 5, 20)
+    assert hypergraph_count_k_mis(h, 5) == 1024
+    assert hypergraph_count_k_mis(h, 5) == 1024
+    assert [k for _, k in walks] == [5, 5]
 
 
 def test_counts_match_networkx_clique_enumeration_if_available():

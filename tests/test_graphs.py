@@ -285,11 +285,13 @@ def test_pickle_drops_cached_tables():
         h = random_mixed_hypergraph(rng, rng.randint(0, 10), rng.randint(0, 12))
         fresh = pickle.dumps(Hypergraph(h.n, h.edges))
         counts = [hypergraph_count_k_mis(h, k) for k in range(min(h.n, 3) + 1)]
-        # k = 1 always takes the link walk; k = 0 reads no table, so on no
-        # vertices the tables are built by hand.
+        # Which tables a count reads depends on the walk it takes (the rest
+        # scan never reads the link table, and nothing is read on no
+        # vertices), so all three are built by hand before pickling.
         if h.n == 0:
             assert not tables & vars(h).keys()
             assert h.link == {} and h.max_sizes == (2, 0)
+        h.rest_masks, h.link, h.max_sizes
         assert tables <= vars(h).keys()
         blob = pickle.dumps(h)
         assert len(blob) == len(fresh)
