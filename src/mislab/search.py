@@ -26,9 +26,10 @@ Vertex relabellings that keep every low slot low map chunks onto chunks and
 keep each graph's MIS count and clique-freeness, so only the least chunk of
 each orbit is scanned for the value (as orderly generation keeps only
 orbit-least objects); ``graphs_scanned`` still counts every mask.  With
-witnesses, a second pass reads, in ascending order, only the orbit-least
-chunks at the best: they hold the least labelled copy of every class at the
-best, and a report lists classes in the order of those copies.
+witnesses, the same pass returns each chunk's low patterns at its best, and
+the caller keeps those of the chunks at the running best: the orbit-least
+chunks at the best hold the least labelled copy of every class at the best,
+and a report lists classes in the order of those copies.
 
 Witnesses are deduplicated up to isomorphism by one canonical labelling
 for graphs and 3-graphs: the least sequence of edge columns over all
@@ -45,7 +46,7 @@ from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, count, permutations, product
+from itertools import combinations, count, permutations, product
 from math import comb
 
 from .formats import graph6_encode
@@ -207,14 +208,15 @@ def _chunk_crosses(crosses: tuple[int, ...], fixed: int, low_bits: int) -> tuple
     return need, either
 
 
-def _scan_chunk(args: tuple) -> tuple[int, list[int]]:
+def _scan_chunk(args: tuple) -> tuple[int, np.ndarray | list]:
     """Scan edge masks in [lo, hi); returns (best, hits).
 
     [lo, hi) is an aligned block of 2^width masks, so every mask in it is
     ``lo`` (the chunk's fixed high bits) plus a low pattern below 2^width.
     The work runs on the low patterns only; each test against a mask is
-    first settled on the fixed part where it can be.  ``hits`` is every mask
-    at the chunk's best, ascending, if ``collect`` is set, else empty.
+    first settled on the fixed part where it can be.  ``hits`` is, if
+    ``collect`` is set, the low pattern of every mask at the chunk's best,
+    ascending, in the filter's narrow array type; else it is empty.
     """
     import numpy as np
     n, r, k, t, lo, hi, collect = args
@@ -254,7 +256,7 @@ def _scan_chunk(args: tuple) -> tuple[int, list[int]]:
             ok &= np.not_equal(np.bitwise_and(masks, cm, out=tmp), 0, out=kb)
         np.add(counts, ok.view(np.uint8), out=counts)
     best = int(counts.max())
-    return best, [lo + int(x) for x in masks[counts == best]] if collect else []
+    return best, masks[counts == best] if collect else []
 
 
 def _check_spec(spec: SearchSpec) -> None:
@@ -357,19 +359,20 @@ def _swapped(mask: int, swap: tuple[tuple[int, int], ...]) -> int:
 def _dedup_witnesses(n: int, r: int, cap: int, results) -> tuple[list[str], bool]:
     """The first ``cap`` witness classes by least labelled copy, and whether more exist.
 
-    ``results`` are the ``_scan_chunk`` results of the orbit-least chunks at
-    the best, in ascending order, so their masks come in ascending order and
-    hold the least copy of every class at the best (see ``exhaustive_m``).
-    A mask that one adjacent label swap makes smaller is not the least copy
-    of its class, which came earlier, so it is skipped before the labelling
-    runs.  Every other mask is canonicalised; a class is first seen at its
-    least copy, and the first class past ``cap`` settles the report as
-    truncated without reading further.
+    ``results`` are the (lo, hits) pairs of the orbit-least chunks at the
+    best, in ascending order, so their masks ``lo + hit`` come in ascending
+    order and hold the least copy of every class at the best (see
+    ``exhaustive_m``).  A mask that one adjacent label swap makes smaller is
+    not the least copy of its class, which came earlier, so it is skipped
+    before the labelling runs.  Every other mask is canonicalised; a class is
+    first seen at its least copy, and the first class past ``cap`` settles
+    the report as truncated without reading further.
     """
     swaps = _adjacent_swaps(n, r)
     seen: set[str] = set()
-    for _, masks in results:
-        for mask in masks:
+    for lo, hits in results:
+        for x in hits:
+            mask = lo + int(x)
             if any(_swapped(mask, swap) < mask for swap in swaps):
                 continue
             form = canonical_form(graph_from_edge_mask(n, mask, r)).decode("ascii")
@@ -380,62 +383,75 @@ def _dedup_witnesses(n: int, r: int, cap: int, results) -> tuple[list[str], bool
     return sorted(seen), False
 
 
-def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
-    """Exact maximum MIS count over all (filtered) labeled r-graphs on n vertices.
-
-    Refuses scans beyond ``SCAN_BITS_CAP`` edge bits rather than running
-    forever.  Only the orbit-least chunk of each ``_stabiliser`` orbit is
-    scanned for the value; ``graphs_scanned`` still counts every mask, as the
-    other chunks are relabelled copies.
-
-    Witnesses, when requested, follow the contract in ``SearchReport``.  The
-    least copy M of a class at the best lies in an orbit-least chunk: each g
-    in ``_stabiliser`` maps M to a copy g(M) >= M and M's chunk onto g(M)'s,
-    so no chunk in the orbit of M's chunk is smaller.  So a second pass reads
-    only the orbit-least chunks at the best, in ascending order, and stops at
-    the first class past the cap.  Proving a report complete costs every copy
-    at the best in those chunks: listing all 410 triangle-free graphs on 8
-    vertices (k=0) makes 2,730 ``canonical_form`` calls, the census 1.
-    """
-    _check_spec(spec)
+def _chunk_jobs(spec: SearchSpec) -> list[tuple]:
+    """The ``_scan_chunk`` jobs of ``spec``: its orbit-least chunks, ascending."""
     n, k, t, r = spec.n, spec.k, spec.t, spec.r
     width = min(comb(n, r), _CHUNK_EDGE_BITS)
+    return [
+        (n, r, k, t, c << width, c + 1 << width, spec.collect_witnesses)
+        for c, rep in enumerate(_orbit_least(n, r, width))
+        if rep == c
+    ]
 
-    def jobs(chunks, collect: bool) -> list[tuple]:
-        return [(n, r, k, t, c << width, c + 1 << width, collect) for c in chunks]
 
-    reps = [c for c, rep in enumerate(_orbit_least(n, r, width)) if rep == c]
-    size, pool = 1, None
-    if workers > 1 and len(reps) > 1:
-        import multiprocessing
-        # The scan is CPU-bound: workers beyond the scanned chunks or the CPUs gain nothing.
-        size = min(workers, len(reps), multiprocessing.cpu_count())
-        pool = multiprocessing.Pool(size)
-    scan = pool.map if pool else map
-    with pool or nullcontext():
-        bests = [res[0] for res in scan(_scan_chunk, jobs(reps, False))]
-        best = max(bests)
-        if best < 0:
-            raise RuntimeError("clique filter eliminated every graph; bad filter?")
-        witnesses, truncated = [], False
-        if spec.collect_witnesses:
-            at_best = [c for c, value in zip(reps, bests) if value == best]
-            # Pool-size windows through map: no task is in flight when the
-            # pass stops, so the pool's exit terminates only idle workers.
-            windows = (
-                scan(_scan_chunk, jobs(at_best[i : i + size], True))
-                for i in range(0, len(at_best), size)
-            )
-            witnesses, truncated = _dedup_witnesses(
-                n, r, spec.witness_cap, chain.from_iterable(windows)
-            )
+def _pool(workers: int, chunks: int):
+    """A pool for scans of up to ``chunks`` chunks, or a null context where one process does.
+
+    The scan is CPU-bound: workers beyond the chunks or the CPUs gain nothing.
+    """
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+    if workers == 1 or chunks < 2:
+        return nullcontext()
+    import multiprocessing
+    return multiprocessing.Pool(min(workers, chunks, multiprocessing.cpu_count()))
+
+
+def _run(spec: SearchSpec, jobs: list[tuple], pool) -> SearchReport:
+    """Run ``spec``'s ``_chunk_jobs``, in ``pool`` if two or more, keeping the hits at the best."""
+    best, at_best = -1, []
+    scan = pool.map if pool and len(jobs) > 1 else map
+    for job, (value, hits) in zip(jobs, scan(_scan_chunk, jobs)):
+        if value > best:
+            best, at_best = value, []
+        if value == best:
+            at_best.append((job[4], hits))
+    if best < 0:
+        raise RuntimeError("clique filter eliminated every graph; bad filter?")
+    witnesses, truncated = [], False
+    if spec.collect_witnesses:
+        witnesses, truncated = _dedup_witnesses(spec.n, spec.r, spec.witness_cap, at_best)
     return SearchReport(
         spec=spec,
         value=best,
         witnesses=witnesses,
-        graphs_scanned=1 << comb(n, r),
+        graphs_scanned=1 << comb(spec.n, spec.r),
         truncated=truncated,
     )
+
+
+def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
+    """Exact maximum MIS count over all (filtered) labeled r-graphs on n vertices.
+
+    Refuses scans beyond ``SCAN_BITS_CAP`` edge bits rather than running
+    forever, and worker counts below 1.  Only the orbit-least chunk of each
+    ``_stabiliser`` orbit is scanned; ``graphs_scanned`` still counts every
+    mask, as the other chunks are relabelled copies.
+
+    Witnesses, when requested, follow the contract in ``SearchReport``.  The
+    least copy M of a class at the best lies in an orbit-least chunk: each g
+    in ``_stabiliser`` maps M to a copy g(M) >= M and M's chunk onto g(M)'s,
+    so no chunk in the orbit of M's chunk is smaller.  So the one pass keeps
+    the hits of the orbit-least chunks at the running best, and the
+    deduplication reads them in ascending order and stops at the first class
+    past the cap.  Proving a report complete costs every copy at the best in
+    those chunks: listing all 410 triangle-free graphs on 8 vertices (k=0)
+    makes 2,730 ``canonical_form`` calls, the census 1.
+    """
+    _check_spec(spec)
+    jobs = _chunk_jobs(spec)
+    with _pool(workers, len(jobs)) as pool:
+        return _run(spec, jobs, pool)
 
 
 def canonical_form(obj: Graph | Hypergraph) -> bytes:
@@ -642,10 +658,12 @@ def verify_theorem(
             planned.append((tuple(zip(axes, values)), spec, formula(*values)))
     if not planned:
         raise ValueError(f"no {theorem} row in the given ranges")
-    return [
-        VerifyRow(params, exhaustive_m(spec, workers=workers).value, value)
-        for params, spec, value in planned
-    ]
+    row_jobs = [_chunk_jobs(spec) for _, spec, _ in planned]
+    with _pool(workers, max(map(len, row_jobs))) as pool:  # one pool for the whole table
+        return [
+            VerifyRow(params, _run(spec, jobs, pool).value, value)
+            for (params, spec, value), jobs in zip(planned, row_jobs)
+        ]
 
 
 def uniqueness_check(

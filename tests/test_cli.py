@@ -495,6 +495,39 @@ def test_search_threads_are_capped_by_chunks_and_cpus(monkeypatch, capsys):
         assert _SerialPool.requested[-1] == want
 
 
+def test_a_verify_table_shares_one_pool(monkeypatch, capsys):
+    # nielsen at n=7 has five rows of 14 orbit-least chunks each: one pool
+    # serves them all.  m3n2 up to n=6 scans one chunk per row: no pool.
+    import multiprocessing
+
+    monkeypatch.setattr(_SerialPool, "requested", [])
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    argv = ["verify", "--theorem", "nielsen", "--n", "7", "--k", "2..6", "--format", "json"]
+    code, out, _ = run(argv + ["--threads", "1"], capsys)
+    assert code == 0 and _SerialPool.requested == []
+    serial = json.loads(out)["result"]["rows"]
+    assert len(serial) == 5
+    code, out, _ = run(argv + ["--threads", "2"], capsys)
+    assert code == 0 and json.loads(out)["result"]["rows"] == serial
+    assert len(_SerialPool.requested) == 1
+    code, _, _ = run(["verify", "--theorem", "m3n2", "--n", "3..6", "--threads", "2"], capsys)
+    assert code == 0 and len(_SerialPool.requested) == 1
+
+
+def test_worker_counts_below_one_exit_2(capsys):
+    runs = (
+        ["search", "--n", "5", "--k", "2"],
+        ["search", "--n", "7", "--k", "2"],
+        ["verify", "--theorem", "m3n2", "--n", "3..4"],
+        ["verify", "--theorem", "nielsen", "--n", "7", "--k", "2..3"],
+    )
+    for argv in runs:
+        for threads in ("0", "-3"):
+            code, out, err = run(argv + ["--threads", threads], capsys)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: worker count must be >= 1, got {threads}\n", argv
+
+
 def _main_quietly(argv: list[str]) -> tuple[int, str]:
     """Exit code and stderr of one in-process run; argparse errors exit 2."""
     err = io.StringIO()

@@ -483,6 +483,42 @@ def test_exhaustive_m_matches_the_reference_loop(monkeypatch):
     assert not multiprocessing.active_children()
 
 
+def test_all_ties_witness_path_keeps_narrow_hits(monkeypatch):
+    # At k=0 every triangle-free graph on 8 vertices ties at 0, so every
+    # surviving mask of the 185 orbit-least chunks past the prefix test is a
+    # hit: 705,521 in all.  They stay uint16 low patterns, about 1.4 MB,
+    # where a list of Python ints would take about 25 MB.  The first mask,
+    # the edgeless graph, fills the cap of 1, and the next class truncates.
+    import mislab.search as search
+
+    spec = SearchSpec(8, k=0, t=3, collect_witnesses=True, witness_cap=1)
+    kept = []
+    dedup = search._dedup_witnesses
+    monkeypatch.setattr(search, "_dedup_witnesses",
+                        lambda n, r, cap, results: kept.append(results) or dedup(n, r, cap, results))
+    want = {"spec": {"n": 8, "k": 0, "t": 3, "r": 2, "witnesses": True}, "value": 0,
+            "witnesses": ["G?????"], "graphs_scanned": 1 << 28, "truncated": True}
+    for workers in (1, 2):
+        assert json.dumps(exhaustive_m(spec, workers=workers).to_json()) == json.dumps(want)
+    assert len(kept) == 2
+    for results in kept:
+        assert len(results) == 185
+        assert sum(len(hits) for _, hits in results) == 705_521
+        assert sum(hits.nbytes for _, hits in results) == 2 * 705_521
+    assert not multiprocessing.active_children()
+
+
+def test_two_worker_verify_leaves_no_child():
+    rows = verify_theorem("nielsen", range(7, 8), k_range=range(2, 4), workers=2)
+    assert rows == verify_theorem("nielsen", range(7, 8), k_range=range(2, 4))
+    assert all(r.match for r in rows)
+    assert not multiprocessing.active_children()
+    with pytest.raises(ValueError, match="^worker count must be >= 1, got 0$"):
+        verify_theorem("nielsen", range(7, 8), k_range=range(2, 4), workers=0)
+    with pytest.raises(ValueError, match="^worker count must be >= 1, got -5$"):
+        exhaustive_m(SearchSpec(5, k=2), workers=-5)
+
+
 def test_witness_reports_list_every_class_up_to_the_cap():
     # Class counts from OEIS: A000088 (graphs) and A006785 (triangle-free
     # graphs).  A report is truncated exactly when a class beyond the cap
@@ -573,9 +609,10 @@ def test_orbit_least_chunks_match_brute_force_orbits():
 
 def test_census_scans_one_chunk_per_orbit(monkeypatch):
     # At n=8 the 24 relabellings that keep the 16 low slots low leave 536
-    # orbit-least chunks of 4096, 185 of them past the prefix test; the
-    # witness pass scans the 37 of them at best 4, in ascending order, and
-    # canonicalises one mask, the least copy of the one class.
+    # orbit-least chunks of 4096, 185 of them past the prefix test.  One
+    # pass scans each once, in ascending order, collecting the hits at each
+    # chunk's best; one mask, the least copy of the one class, is
+    # canonicalised.
     import mislab.search as search
 
     least = search._orbit_least(8, 2, 16)
@@ -590,12 +627,9 @@ def test_census_scans_one_chunk_per_orbit(monkeypatch):
     rep = uniqueness_check(8)
     assert (rep.value, rep.witnesses, rep.truncated) == (4, ["G?]uf?"], False)
     assert rep.graphs_scanned == 1 << 28
-    value_pass = [job[4] >> 16 for job in jobs if not job[6]]
-    witness_pass = [job[4] >> 16 for job in jobs if job[6]]
-    assert value_pass == reps
-    assert len(witness_pass) == 37 and witness_pass == sorted(witness_pass)
-    assert all(least[c] == c for c in witness_pass)
-    assert len(jobs) == 573
+    assert [job[4] >> 16 for job in jobs] == reps
+    assert all(job[6] for job in jobs)
+    assert len(jobs) == 536
     assert len(forms) == 1
 
 
@@ -756,8 +790,8 @@ def test_narrow_scan_kernel_matches_naive_counts_on_high_chunks(monkeypatch):
         for t in (None, 3):
             for k in (2, None):
                 best, hits = _naive_chunk(n, k, t, lo, hi)
-                got = search._scan_chunk((n, 2, k, t, lo, hi, True))
-                assert got == (best, hits), (lo, t, k)
+                got, low = search._scan_chunk((n, 2, k, t, lo, hi, True))
+                assert (got, [lo + int(x) for x in low]) == (best, hits), (lo, t, k)
                 got = search._scan_chunk((n, 2, k, t, lo, hi, False))
                 assert got == (best, []), (lo, t, k)
 
@@ -793,20 +827,25 @@ def test_keep_mask_matches_naive_counts_on_chosen_chunks():
         hi = lo + (1 << width)
         for k in (2, None):
             best, hits = _naive_chunk(n, k, t, lo, hi, r)
-            got = search._scan_chunk((n, r, k, t, lo, hi, True))
-            assert got == (best, hits), (n, r, t, lo, k)
+            got, low = search._scan_chunk((n, r, k, t, lo, hi, True))
+            assert (got, [lo + int(x) for x in low]) == (best, hits), (n, r, t, lo, k)
             got = search._scan_chunk((n, r, k, t, lo, hi, False))
             assert got == (best, []), (n, r, t, lo, k)
 
 
 def test_width_16_chunk_matches_naive_counts():
-    # One chunk at the real width, where the low patterns are uint16.
+    # One chunk at the real width, where the low patterns, and so the hits
+    # the chunk returns, are uint16.
+    import numpy as np
+
     import mislab.search as search
 
     lo, hi = 0b01101 << 16, 0b01110 << 16
     best, hits = _naive_chunk(7, 2, 3, lo, hi)
     assert best == 3 and hits
-    assert search._scan_chunk((7, 2, 2, 3, lo, hi, True)) == (best, hits)
+    got, low = search._scan_chunk((7, 2, 2, 3, lo, hi, True))
+    assert low.dtype == np.uint16
+    assert (got, [lo + int(x) for x in low]) == (best, hits)
 
 
 def test_count_dtype_holds_the_sperner_bound(monkeypatch):
