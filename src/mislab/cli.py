@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -45,7 +44,7 @@ from .formats import (
     hypergraph_to_json,
 )
 from .graphs import Graph, Hypergraph, PartitionedGraph, has_clique
-from .search import THEOREM_IDS, SearchSpec, exhaustive_m, verify_theorem
+from .search import THEOREM_IDS, SearchSpec, _cpu_count, exhaustive_m, verify_theorem
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -337,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(pv, ("csv", "json"), "csv")
     pv.set_defaults(func=cmd_verify)
     for p in (ps, pv):  # only the exhaustive scan runs workers
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="scan worker count (default: cpu count)")
+        p.add_argument("--threads", type=int, default=_cpu_count(),
+                       help="scan worker count (default: the CPUs this process may use)")
     return parser
 
 

@@ -25,25 +25,23 @@ is imported only inside the scan.
 Vertex relabellings that keep every low slot low map chunks onto chunks and
 keep each graph's MIS count and clique-freeness, so only the least chunk of
 each orbit is scanned for the value (as orderly generation keeps only
-orbit-least objects); ``graphs_scanned`` still counts every mask.  With
-witnesses, the same pass returns each chunk's low patterns at its best, and
-the caller keeps those of the chunks at the running best: the orbit-least
-chunks at the best hold the least labelled copy of every class at the best,
-and a report lists classes in the order of those copies.
+orbit-least objects); ``graphs_scanned`` still counts every mask.  The
+caller scans one share of those chunks and a forked child each other share.
+With witnesses, each chunk returns its low patterns at its best, and each
+process keeps those of its chunks at its own running best: the orbit-least
+chunks at the overall best hold the least labelled copy of every class at
+the best, and a report lists classes in the order of those copies.
 
-Witnesses are deduplicated up to isomorphism by one canonical labelling
-for graphs and 3-graphs: the least sequence of edge columns over all
-relabelings, found by branch and bound with orbit pruning from the
-automorphisms that equal leaves reveal.  A graph's form is its least graph6
-string, a 3-graph's its edge-list JSON under that labelling.  A mask that
-one adjacent label swap makes smaller is not the least copy of its class
-and is skipped before the labelling runs, so it runs about once per class.
+Witnesses are deduplicated up to isomorphism by ``canonical_form``, one
+labelling for graphs and 3-graphs, in the caller.  A mask that one adjacent
+label swap makes smaller is not the least copy of its class and is skipped
+before the labelling runs, so it runs about once per class.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, count, permutations, product
@@ -383,51 +381,73 @@ def _dedup_witnesses(n: int, r: int, cap: int, results) -> tuple[list[str], bool
     return sorted(seen), False
 
 
-def _chunk_jobs(spec: SearchSpec) -> list[tuple]:
-    """The ``_scan_chunk`` jobs of ``spec``: its orbit-least chunks, ascending."""
-    n, k, t, r = spec.n, spec.k, spec.t, spec.r
-    width = min(comb(n, r), _CHUNK_EDGE_BITS)
-    return [
-        (n, r, k, t, c << width, c + 1 << width, spec.collect_witnesses)
-        for c, rep in enumerate(_orbit_least(n, r, width))
-        if rep == c
-    ]
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _pool(workers: int, chunks: int):
-    """A pool for scans of up to ``chunks`` chunks, or a null context where one process does.
+def _run(spec: SearchSpec, jobs: list[tuple], procs: int) -> SearchReport:
+    """Scan the chunk ``jobs`` of ``spec`` in ``procs`` processes, keeping the hits at the best.
 
-    The scan is CPU-bound: workers beyond the chunks or the CPUs gain nothing.
+    Process i scans ``jobs[i::procs]`` and returns its best and the hits of
+    its chunks at that best.  Process 0 is this one; each other is a forked
+    child that sends its result or exception through a pipe and leaves by
+    ``os._exit``, running no ``atexit`` hook and flushing no inherited buffer.
     """
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    if workers == 1 or chunks < 2:
-        return nullcontext()
-    import multiprocessing
-    return multiprocessing.Pool(min(workers, chunks, multiprocessing.cpu_count()))
+    import pickle
+    import signal
 
+    def share(i: int) -> tuple[int, list]:
+        best, at_best = -1, []
+        for job in jobs[i::procs]:
+            value, hits = _scan_chunk(job)
+            if value > best:
+                best, at_best = value, []
+            if value == best:
+                at_best.append((job[4], hits))
+        return best, at_best
 
-def _run(spec: SearchSpec, jobs: list[tuple], pool) -> SearchReport:
-    """Run ``spec``'s ``_chunk_jobs``, in ``pool`` if two or more, keeping the hits at the best."""
-    best, at_best = -1, []
-    scan = pool.map if pool and len(jobs) > 1 else map
-    for job, (value, hits) in zip(jobs, scan(_scan_chunk, jobs)):
-        if value > best:
-            best, at_best = value, []
-        if value == best:
-            at_best.append((job[4], hits))
+    children = []
+    try:
+        for i in range(1, procs):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(w, "wb") as out:
+                        try:
+                            result = share(i)
+                        except Exception as exc:
+                            result = exc
+                        pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        shares = [share(0)]
+        for pid, pipe in children:
+            try:
+                shares.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"scan worker {pid} exited without a result") from None
+            if isinstance(shares[-1], Exception):
+                raise shares[-1]
+    finally:
+        for pid, pipe in children:  # a child that sent its result has nothing left to do
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    best = max(value for value, _ in shares)
     if best < 0:
         raise RuntimeError("clique filter eliminated every graph; bad filter?")
     witnesses, truncated = [], False
     if spec.collect_witnesses:
+        at_best = [pair for value, pairs in shares if value == best for pair in pairs]
+        at_best.sort(key=lambda pair: pair[0])
         witnesses, truncated = _dedup_witnesses(spec.n, spec.r, spec.witness_cap, at_best)
-    return SearchReport(
-        spec=spec,
-        value=best,
-        witnesses=witnesses,
-        graphs_scanned=1 << comb(spec.n, spec.r),
-        truncated=truncated,
-    )
+    return SearchReport(spec=spec, value=best, witnesses=witnesses,
+                        graphs_scanned=1 << comb(spec.n, spec.r), truncated=truncated)
 
 
 def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
@@ -435,23 +455,28 @@ def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
 
     Refuses scans beyond ``SCAN_BITS_CAP`` edge bits rather than running
     forever, and worker counts below 1.  Only the orbit-least chunk of each
-    ``_stabiliser`` orbit is scanned; ``graphs_scanned`` still counts every
-    mask, as the other chunks are relabelled copies.
+    ``_stabiliser`` orbit is scanned, by ``workers`` processes capped by those
+    chunks and the CPUs (one where ``os.fork`` is missing); ``graphs_scanned``
+    still counts every mask, as the other chunks are relabelled copies.
 
     Witnesses, when requested, follow the contract in ``SearchReport``.  The
     least copy M of a class at the best lies in an orbit-least chunk: each g
     in ``_stabiliser`` maps M to a copy g(M) >= M and M's chunk onto g(M)'s,
-    so no chunk in the orbit of M's chunk is smaller.  So the one pass keeps
-    the hits of the orbit-least chunks at the running best, and the
-    deduplication reads them in ascending order and stops at the first class
-    past the cap.  Proving a report complete costs every copy at the best in
+    so no chunk in the orbit of M's chunk is smaller.  So each process keeps
+    the hits of its orbit-least chunks at its running best, and the
+    deduplication reads those at the overall best in ascending order and
+    stops at the first class past the cap.  Proving a report complete costs every copy at the best in
     those chunks: listing all 410 triangle-free graphs on 8 vertices (k=0)
     makes 2,730 ``canonical_form`` calls, the census 1.
     """
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     _check_spec(spec)
-    jobs = _chunk_jobs(spec)
-    with _pool(workers, len(jobs)) as pool:
-        return _run(spec, jobs, pool)
+    n, k, t, r = spec.n, spec.k, spec.t, spec.r
+    width = min(comb(n, r), _CHUNK_EDGE_BITS)
+    jobs = [(n, r, k, t, c << width, c + 1 << width, spec.collect_witnesses)
+            for c, rep in enumerate(_orbit_least(n, r, width)) if rep == c]  # ascending
+    return _run(spec, jobs, min(workers, len(jobs), _cpu_count() if hasattr(os, "fork") else 1))
 
 
 def canonical_form(obj: Graph | Hypergraph) -> bytes:
@@ -658,12 +683,8 @@ def verify_theorem(
             planned.append((tuple(zip(axes, values)), spec, formula(*values)))
     if not planned:
         raise ValueError(f"no {theorem} row in the given ranges")
-    row_jobs = [_chunk_jobs(spec) for _, spec, _ in planned]
-    with _pool(workers, max(map(len, row_jobs))) as pool:  # one pool for the whole table
-        return [
-            VerifyRow(params, _run(spec, jobs, pool).value, value)
-            for (params, spec, value), jobs in zip(planned, row_jobs)
-        ]
+    return [VerifyRow(params, exhaustive_m(spec, workers).value, value)
+            for params, spec, value in planned]
 
 
 def uniqueness_check(

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -457,61 +458,102 @@ def test_search_r3_rejects_graph6_format(capsys):
     assert err == "error: --format graph6 needs --r 2; 3-graph witnesses are JSON\n"
 
 
-class _SerialPool:
-    """Records the worker count asked for and runs the jobs in this process."""
+def _count_forks(monkeypatch) -> list[int]:
+    """Record the pid of every child that os.fork starts from now on."""
+    forks = []
+    fork = os.fork
 
-    requested: list[int] = []
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    def __init__(self, processes: int):
-        self.requested.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return [fn(job) for job in jobs]
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 def test_search_threads_are_capped_by_chunks_and_cpus(monkeypatch, capsys):
     # n=7 has 32 chunks, 14 of them orbit-least: only those are scanned for
-    # the value.  A request for 100000 workers starts no more than those
-    # chunks or the CPUs; the result is the serial one.  No real pool is
-    # started.
-    import multiprocessing
+    # the value.  A request for 100000 workers runs no more processes than
+    # those chunks or the CPUs, the caller and one forked child per other
+    # process; the result is the serial one.
+    import mislab.search as search
 
-    monkeypatch.setattr(_SerialPool, "requested", [])
-    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    forks = _count_forks(monkeypatch)
     argv = ["search", "--n", "7", "--k", "2", "--t", "3", "--format", "json"]
     code, out, _ = run(argv + ["--threads", "1"], capsys)
-    assert code == 0 and _SerialPool.requested == []
+    assert code == 0 and forks == []
     serial = json.loads(out)["result"]
     for cpus, want in ((1000, 14), (2, 2)):
-        monkeypatch.setattr(multiprocessing, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(search, "_cpu_count", lambda: cpus)
+        forks.clear()
         code, out, _ = run(argv + ["--threads", "100000"], capsys)
         assert code == 0 and json.loads(out)["result"] == serial
-        assert _SerialPool.requested[-1] == want
+        assert len(forks) == want - 1
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_verify_table_shares_one_pool(monkeypatch, capsys):
-    # nielsen at n=7 has five rows of 14 orbit-least chunks each: one pool
-    # serves them all.  m3n2 up to n=6 scans one chunk per row: no pool.
-    import multiprocessing
+def test_a_verify_table_forks_per_multi_chunk_row(monkeypatch, capsys):
+    # nielsen at n=7 has five rows of 14 orbit-least chunks each: with 2
+    # threads each row forks one child.  m3n2 up to n=6 scans one chunk per
+    # row: no fork.
+    import mislab.search as search
 
-    monkeypatch.setattr(_SerialPool, "requested", [])
-    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(search, "_cpu_count", lambda: 1000)
+    forks = _count_forks(monkeypatch)
     argv = ["verify", "--theorem", "nielsen", "--n", "7", "--k", "2..6", "--format", "json"]
     code, out, _ = run(argv + ["--threads", "1"], capsys)
-    assert code == 0 and _SerialPool.requested == []
+    assert code == 0 and forks == []
     serial = json.loads(out)["result"]["rows"]
     assert len(serial) == 5
     code, out, _ = run(argv + ["--threads", "2"], capsys)
     assert code == 0 and json.loads(out)["result"]["rows"] == serial
-    assert len(_SerialPool.requested) == 1
+    assert len(forks) == 5
     code, _, _ = run(["verify", "--theorem", "m3n2", "--n", "3..6", "--threads", "2"], capsys)
-    assert code == 0 and len(_SerialPool.requested) == 1
+    assert code == 0 and len(forks) == 5
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_threads_default_to_the_cpus_this_process_may_use(monkeypatch):
+    import mislab.search as search
+    from mislab.cli import build_parser
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert search._cpu_count() == 3
+    assert build_parser().parse_args(["search", "--n", "4"]).threads == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert search._cpu_count() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_parser().parse_args(["verify", "--theorem", "m3n2", "--n", "4"]).threads == 1
+
+
+REPORTS = [
+    ["search", "--n", "8", "--k", "2", "--t", "3", "--witnesses"],
+    ["search", "--n", "7", "--k", "0", "--witnesses", "--witness-cap", "200"],
+    ["search", "--n", "6", "--k", "2", "--t", "4", "--r", "3", "--witnesses"],
+    ["search", "--n", "8", "--k", "8", "--witnesses", "--witness-cap", "1"],
+    ["verify", "--theorem", "moon-moser", "--n", "2..7"],
+    ["verify", "--theorem", "hujter-tuza", "--n", "4..7"],
+    ["verify", "--theorem", "nielsen", "--n", "3..7", "--k", "2..6"],
+    ["verify", "--theorem", "m3n2", "--n", "3..7"],
+    ["verify", "--theorem", "mt-n1", "--t", "3..5", "--n", "1..7"],
+    ["verify", "--theorem", "hyper-m432", "--n", "4..6"],
+] + [["search", "--n", "6", "--k", str(k), "--t", "4", "--r", "3"] for k in range(1, 7)]
+
+
+def test_reports_are_byte_identical_for_1_2_and_3_threads(monkeypatch, capsys):
+    import mislab.search as search
+
+    monkeypatch.setattr(search, "_cpu_count", lambda: 3)
+    for argv in REPORTS:
+        outs = {run(argv + ["--format", "json", "--threads", t], capsys) for t in "123"}
+        assert len(outs) == 1, argv
+        code, _, err = outs.pop()
+        assert (code, err) == (0, ""), argv
 
 
 def test_worker_counts_below_one_exit_2(capsys):

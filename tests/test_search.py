@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -37,6 +40,12 @@ from naive import (
     random_hypergraph3,
     reference_exhaustive_m,
 )
+
+
+def assert_no_child() -> None:
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def brute_canonical(g: Graph) -> bytes:
@@ -461,8 +470,10 @@ def test_exhaustive_m_matches_the_reference_loop(monkeypatch):
     # chunks at the best and the adjacent-swap pre-filter, against the
     # report contract computed from naive MIS profiles and canonical_form on
     # every mask at the best: byte-identical reports at every chunk width,
-    # with 1 worker and, where there is more than one chunk, 2.
+    # with 1 worker and, at the largest n, with 2 to 4 processes.
     import mislab.search as search
+
+    monkeypatch.setattr(search, "_cpu_count", lambda: 4)
 
     def same(spec, workers=1):
         got = json.dumps(exhaustive_m(spec, workers=workers).to_json())
@@ -478,9 +489,9 @@ def test_exhaustive_m_matches_the_reference_loop(monkeypatch):
                             spec = SearchSpec(n, k, t, r, collect_witnesses=True, witness_cap=cap)
                             assert same(spec), (bits, r, n, t, k, cap)
                             if n == top and bits == 5:
-                                assert same(spec, workers=2), (bits, r, n, t, k, cap)
-    monkeypatch.undo()
-    assert not multiprocessing.active_children()
+                                for workers in (2, 3, 4):
+                                    assert same(spec, workers), (bits, r, n, t, k, cap, workers)
+    assert_no_child()
 
 
 def test_all_ties_witness_path_keeps_narrow_hits(monkeypatch):
@@ -505,14 +516,43 @@ def test_all_ties_witness_path_keeps_narrow_hits(monkeypatch):
         assert len(results) == 185
         assert sum(len(hits) for _, hits in results) == 705_521
         assert sum(hits.nbytes for _, hits in results) == 2 * 705_521
-    assert not multiprocessing.active_children()
+    assert_no_child()
+
+
+def test_each_process_ships_only_the_hits_at_its_own_best(monkeypatch):
+    # Chunk values rise and fall along each process's share.  A child sends
+    # back the hits of its chunks at its own best only, and of all shares the
+    # chunks at the overall best reach the deduplication, in ascending order.
+    import pickle
+
+    import mislab.search as search
+
+    reps = [c for c, rep in enumerate(search._orbit_least(7, 2, 16)) if rep == c]
+    value = {c: c * 7 % 5 for c in reps}
+    top = max(value.values())
+    shipped, kept = [], []
+    load = pickle.load
+    monkeypatch.setattr(pickle, "load", lambda pipe: shipped.append(load(pipe)) or shipped[-1])
+    monkeypatch.setattr(search, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(search, "_scan_chunk", lambda job: (value[job[4] >> 16], [job[4] >> 16]))
+    monkeypatch.setattr(search, "_dedup_witnesses",
+                        lambda n, r, cap, results: kept.append(results) or ([], False))
+    rep = exhaustive_m(SearchSpec(7, k=2, collect_witnesses=True), workers=3)
+    assert rep.value == top and len(shipped) == 2
+    for i, (best, pairs) in enumerate(shipped, 1):
+        share = reps[i::3]
+        assert best == max(value[c] for c in share)
+        assert pairs == [(c << 16, [c]) for c in share if value[c] == best], i
+    assert sum(len(pairs) for _, pairs in shipped) < len(reps) - len(reps[::3])
+    assert kept == [[(c << 16, [c]) for c in reps if value[c] == top]]
+    assert_no_child()
 
 
 def test_two_worker_verify_leaves_no_child():
     rows = verify_theorem("nielsen", range(7, 8), k_range=range(2, 4), workers=2)
     assert rows == verify_theorem("nielsen", range(7, 8), k_range=range(2, 4))
     assert all(r.match for r in rows)
-    assert not multiprocessing.active_children()
+    assert_no_child()
     with pytest.raises(ValueError, match="^worker count must be >= 1, got 0$"):
         verify_theorem("nielsen", range(7, 8), k_range=range(2, 4), workers=0)
     with pytest.raises(ValueError, match="^worker count must be >= 1, got -5$"):
@@ -533,31 +573,98 @@ def test_witness_reports_list_every_class_up_to_the_cap():
     assert report(5, 2, cap=1) == (1, False)
 
 
-def test_two_worker_witness_pass_never_hangs():
-    # The witness pass stops early here: every graph on 7 vertices ties at
-    # k=0, and the cap is one class.  Stopping must leave no task in flight,
-    # so the pool's exit never waits on a worker killed mid-send.  A hang
-    # shows as a timeout.
-    import subprocess
-    import sys
-
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this mislab; a hang shows as a timeout."""
     import mislab
 
-    code = (
-        "import multiprocessing\n"
+    src = os.path.dirname(os.path.dirname(mislab.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_two_worker_witness_pass_never_hangs():
+    # The witness pass stops early here: every graph on 7 vertices ties at
+    # k=0, and the cap is one class.  The child sends every hit of its share
+    # before the deduplication starts, so stopping never leaves it blocked on
+    # a full pipe, and it is reaped every time.
+    proc = _run_python(
+        "import os\n"
         "from mislab import SearchSpec, exhaustive_m\n"
         "spec = SearchSpec(7, k=0, collect_witnesses=True, witness_cap=1)\n"
         "for _ in range(120):\n"
         "    rep = exhaustive_m(spec, workers=2)\n"
         "    assert (rep.witnesses, rep.truncated) == (['F????'], True), rep\n"
-        "    assert not multiprocessing.active_children()\n"
-    )
-    src = os.path.dirname(os.path.dirname(mislab.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
+        "    try:\n"
+        "        os.waitpid(-1, os.WNOHANG)\n"
+        "    except ChildProcessError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError('a child is left')\n"
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _two_process_scan(monkeypatch, in_parent, in_child):
+    """Run a 2-process scan whose chunk scans call ``in_parent`` or ``in_child``."""
+    import mislab.search as search
+
+    parent = os.getpid()
+    monkeypatch.setattr(search, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(
+        search, "_scan_chunk", lambda job: in_parent() if os.getpid() == parent else in_child()
+    )
+    exhaustive_m(SearchSpec(7, k=2), workers=2)
+
+
+def test_an_exception_in_a_child_is_raised_in_the_parent(monkeypatch):
+    def fail():
+        raise ArithmeticError(f"chunk failed in {os.getpid()}")
+
+    with pytest.raises(ArithmeticError, match=r"^chunk failed in (\d+)$") as caught:
+        _two_process_scan(monkeypatch, lambda: (-1, []), fail)
+    assert caught.value.args[0] != f"chunk failed in {os.getpid()}"
+    assert_no_child()
+
+
+def test_a_failure_in_the_parent_kills_and_reaps_the_children(monkeypatch):
+    # The child would scan for a minute; the parent's share fails at once.
+    for error in (ValueError("parent chunk"), KeyboardInterrupt()):
+        def fail():
+            raise error
+
+        start = time.monotonic()
+        with pytest.raises(type(error)):
+            _two_process_scan(monkeypatch, fail, lambda: time.sleep(60))
+        assert time.monotonic() - start < 30
+        assert_no_child()
+
+
+def test_a_child_that_dies_without_a_result_is_an_error(monkeypatch):
+    for die in (lambda: os._exit(3), lambda: os.kill(os.getpid(), signal.SIGKILL)):
+        with pytest.raises(RuntimeError, match=r"^scan worker \d+ exited without a result$"):
+            _two_process_scan(monkeypatch, lambda: (-1, []), die)
+        assert_no_child()
+
+
+def test_a_child_runs_no_exit_hook_and_flushes_no_inherited_buffer():
+    # The line waiting in stdout's buffer at the fork, the exit hook and the
+    # report each appear once: a child that returned through the caller
+    # would print all three again.
+    proc = _run_python(
+        "import atexit, sys\n"
+        "import mislab.search\n"
+        "from mislab.cli import main\n"
+        "mislab.search._cpu_count = lambda: 2\n"
+        "atexit.register(print, 'exit hook')\n"
+        "print('buffered')\n"
+        "sys.exit(main(['search', '--n', '7', '--k', '2', '--threads', '2']))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("buffered\n{") and proc.stdout.endswith("}\nexit hook\n")
+    for text in ("buffered", "exit hook", '"result"'):
+        assert proc.stdout.count(text) == 1, proc.stdout
 
 
 def _brute_stabiliser(n: int, r: int, width: int) -> set[tuple[int, ...]]:
