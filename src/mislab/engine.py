@@ -13,6 +13,16 @@ size calls no child: it must cover every undominated vertex, so it lies in
 the closed neighborhood of the lowest one, and each such candidate is
 settled with a single mask compare.
 
+A walk without a visitor also keeps a memo of subtree counts.  The count
+below ``rec(pos, need, dom, chosen)`` depends on pos, need and dom alone
+(chosen only feeds the visitor), so a state that another branch counted
+costs one dict lookup.  The key packs it into one int, ``((dom << s | pos)
+<< s) + need`` with s = n.bit_length() + 1; need is keyed as 0 without a
+size target.  Unlike the one-entry ``_memo`` below, it is a local of the
+call, cleared at ``_walk_memo_cap(n)`` entries (a 512 KiB budget) so a long
+count's memory stays flat.  A walk with a visitor keeps none: same sets,
+same order, same nodes.
+
 The hypergraph counter ``hypergraph_enumerate_k_mis`` is likewise one core
 for a fixed size k and for every size (k=None).  It keeps a "blocked" mask
 instead: the outside vertices that would complete an edge if added.  A pick
@@ -31,21 +41,17 @@ once, on first use (``Graph.closed``, ``Hypergraph.rest_masks``, ``link`` and
 ``max_sizes``, the guard's two inputs, and ``PartitionedGraph.part_masks``).
 
 ``count_k_mis``, ``count_all_mis`` and ``hypergraph_count_k_mis`` share a
-one-entry memo: the last graph or hypergraph object any of them was asked
+one-entry memo across calls: the last graph or hypergraph object asked
 about, the size first asked (None for every size) and, once a second size
-of that object is asked, its counts at every size from one all-sizes walk
-of its type's core that tallies the sets by size.  Later sizes of that
-object read the memo, so asking one object every size costs one walk.  A
+of it is asked, its counts at every size from one all-sizes walk of its
+type's core that tallies the sets by size.  Later sizes read the memo.  A
 caller that asks one size, or the same size again, keeps the size-k walk:
-the all-sizes walk can visit far more sets (a perfect matching on 60
-vertices has 2^30 MIS's, none of size 10).  A caller that asks two sizes of
-a large object pays one all-sizes walk, what ``count_all_mis`` costs on a
-graph.  The memo keys by identity and holds the object, so an id is never
-reused while it is held; an equal but distinct object walks again.  It is
-not a cached property on ``Graph`` or ``Hypergraph``: a further cached
-table grows every object's instance dict, and callers that keep thousands
-of small objects alive would pay that memory for a profile only the last
-one needs.
+the tallying walk visits every set, with no walk memo (a perfect matching
+on 60 vertices has 2^30 MIS's, none of size 10).  The memo keys by identity
+and holds the object, so an id is never reused while it is held; an equal
+but distinct object walks again.  It is not a cached property on ``Graph``
+or ``Hypergraph``: callers that keep thousands of small objects alive would
+each carry a profile that only the last one needs.
 
 ``transversal_reduction`` runs no counter per random split.  Every split's
 transversal MIS's come from one list, the k-MIS's of the kept subgraph with
@@ -84,7 +90,8 @@ def enumerate_k_mis(
 
     ``k=None`` visits the MIS's of every size.  Sets are visited in
     lexicographic order of their sorted vertices.  Returns the number
-    visited.  The visitor may be None to just count.
+    visited.  The visitor may be None to just count; such a walk reads the
+    count of a state it reaches again from a per-call memo.
     """
     if k is not None and not 0 <= k <= g.n:
         raise ValueError(f"k={k} outside 0..{g.n}")
@@ -97,15 +104,17 @@ def enumerate_k_mis(
             return 1
         return 0
     closed = g.closed
-    found = 0
+    memo: dict[int, int] | None = None
+    if visitor is None:
+        memo, cap, s = {}, _walk_memo_cap(n), n.bit_length() + 1
 
     # need counts the picks still to make; without a size target it starts
     # at 0 and only falls, so the count cuts (>= need) never fire.
-    def rec(pos: int, need: int, dom: int, chosen: int) -> None:
-        nonlocal found
+    def rec(pos: int, need: int, dom: int, chosen: int) -> int:
         missing = full & ~dom
         fut = missing >> pos << pos
         if need == 1:
+            found = 0
             # The last pick must dominate every missing vertex, the lowest
             # one included, so it lies in that vertex's closed neighborhood.
             cand = fut & closed[(missing & -missing).bit_length() - 1]
@@ -116,15 +125,19 @@ def enumerate_k_mis(
                     if visitor is not None:
                         visitor(chosen | low)
                 cand ^= low
-            return
+            return found
         if not fut:
             # Nothing left to pick: a leaf without a size target, else dead.
-            if need <= 0 and not missing:
-                found += 1
-                if visitor is not None:
-                    visitor(chosen)
-            return
-        cand = fut
+            if need > 0 or missing:
+                return 0
+            if visitor is not None:
+                visitor(chosen)
+            return 1
+        if memo is not None:
+            key = ((dom << s | pos) << s) + (need if need > 0 else 0)
+            if key in memo:
+                return memo[key]
+        cand, found = fut, 0
         while cand and cand.bit_count() >= need:
             low = cand & -cand
             v = low.bit_length() - 1
@@ -141,13 +154,25 @@ def enumerate_k_mis(
                         break
                     undom ^= u
                 else:
-                    rec(v + 1, need - 1, dom | closed[v], chosen | low)
+                    found += rec(v + 1, need - 1, dom | closed[v], chosen | low)
             # v is skipped from here on: a later pick must dominate it.
             if not adj[v] & cand:
                 break
+        if memo is not None:
+            if len(memo) >= cap:
+                memo.clear()
+            memo[key] = found
+        return found
 
-    rec(0, 0 if k is None else k, 0, 0)
-    return found
+    return rec(0, 0 if k is None else k, 0, 0)
+
+
+def _walk_memo_cap(n: int) -> int:
+    """Entries a counting walk's memo holds before it is cleared."""
+    # A 512 KiB budget.  An entry (an int key of n + 2s bits, a count and a
+    # dict slot) takes at most about 144 + n // 7 bytes under tracemalloc:
+    # 3382 entries at 80 vertices, 1456 at 1512.
+    return (1 << 19) // (144 + n // 7)
 
 
 # The last graph or hypergraph a counter was asked about, the size first

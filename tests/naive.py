@@ -11,6 +11,7 @@ the same random splits.
 from __future__ import annotations
 
 import random
+import sys
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
@@ -206,6 +207,29 @@ class CountingLink(dict):
     def get(self, key, default=None):
         self.reads += 1
         return super().get(key, default)
+
+
+def rec_calls(walk, limit: int = 10**5):
+    """walk() and the number of calls of the counters' inner recursion.
+
+    Each call is one search-tree node.  Past ``limit`` calls the profile
+    hook raises, so a walk that lost a cut or its memo fails at once
+    instead of running for minutes.
+    """
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "rec":
+            nodes += 1
+            if nodes > limit:
+                raise RuntimeError(f"more than {limit} search-tree nodes")
+
+    sys.setprofile(profile)
+    try:
+        return walk(), nodes
+    finally:
+        sys.setprofile(None)
 
 
 def naive_hyper_mis_list(h: Hypergraph, k: int) -> list[int]:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mislab import Graph, graph6_decode, graph6_encode, count_k_mis, has_clique, star_hypergraph
 from mislab.cli import main
 from mislab.search import THEOREM_IDS
-from naive import naive_hyper_count_k_mis
+from naive import naive_hyper_count_k_mis, rec_calls
 
 
 def run(argv, capsys):
@@ -122,6 +122,16 @@ def test_count_command(capsys, tmp_path):
     assert code == 0 and out.strip() == "4"
     code, out, _ = run(["count", "--graph", str(path)], capsys)
     assert code == 0 and out.strip() == "6"
+
+
+def test_count_theorem_a_at_2_to_the_30(capsys, tmp_path):
+    # 120 vertices and 2^30 sets of size 30: a walk that visits them one by
+    # one would run for minutes, so its inner recursion is capped.
+    path = tmp_path / "a.g6"
+    argv = ["construct", "theorem-a", "--k", "30", "--t", "3", "--m", "4", "--out", str(path)]
+    assert run(argv, capsys)[0] == 0
+    (code, out, _), _ = rec_calls(lambda: run(["count", "--graph", str(path), "--k", "30"], capsys))
+    assert code == 0 and out.strip() == "1073741824"
 
 
 def test_count_transversal(capsys, tmp_path):

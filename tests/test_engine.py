@@ -16,6 +16,7 @@ from mislab import (
     count_all_mis,
     count_k_mis,
     count_transversal_mis,
+    disjoint_gadget_union,
     disjoint_union,
     engine,
     enumerate_k_mis,
@@ -47,6 +48,7 @@ from naive import (
     random_hypergraph3,
     random_mixed_hypergraph,
     random_triangle_free,
+    rec_calls,
     reference_split_classes,
     reference_transversal_reduction,
 )
@@ -695,23 +697,65 @@ def test_k4_free_cycle_blowup_counts_pinned(k, want):
 
 
 def test_k_mis_walk_node_count_pinned():
-    # Each call of the inner recursion is one search-tree node.  The cuts in
-    # the parent decide which children are called at all, so dropping the
-    # count cut or the skip cut, which cannot change a count, raises this.
+    # The cuts in the parent decide which children are called at all, so
+    # dropping the count cut or the skip cut, which cannot change a count,
+    # raises the visitor walk's node count.  A counting walk also reads a
+    # state it has counted before from its memo, so losing the memo raises
+    # the second count.
     g = tight_cycle_blowup(8, 4, 2).graph
-    nodes = 0
+    seen: list[int] = []
+    assert rec_calls(lambda: enumerate_k_mis(g, 8, seen.append)) == (1120, 8555)
+    assert rec_calls(lambda: count_k_mis(g, 8)) == (1120, 6319)
 
-    def profile(frame, event, arg):
-        nonlocal nodes
-        if event == "call" and frame.f_code.co_name == "rec":
-            nodes += 1
 
-    sys.setprofile(profile)
-    try:
-        count = count_k_mis(g, 8)
-    finally:
-        sys.setprofile(None)
-    assert (count, nodes) == (1120, 8555)
+# The tight blowups and disjoint gadget unions that perfbench's blowups
+# workload counts at their own k.
+BLOWUP_COUNTS = [
+    (tight_cycle_blowup, 10, 4, 2), (tight_cycle_blowup, 9, 4, 2),
+    (tight_cycle_blowup, 6, 3, 4), (tight_cycle_blowup, 8, 4, 2),
+    (tight_cycle_blowup, 7, 3, 3), (tight_cycle_blowup, 5, 3, 4),
+    (tight_cycle_blowup, 5, 3, 3), (tight_cycle_blowup, 7, 3, 2),
+    (tight_cycle_blowup, 6, 3, 2), (tight_cycle_blowup, 5, 3, 2),
+    (disjoint_gadget_union, 9, 4, 3), (disjoint_gadget_union, 12, 5, 2),
+    (disjoint_gadget_union, 6, 3, 4),
+]
+
+
+@pytest.mark.parametrize("cap", [None, 1, 3])
+def test_counting_walk_memo_matches_the_visitor_walk_and_naive(monkeypatch, cap):
+    # The walk memo serves only walks without a visitor.  A cap of 1 or 3
+    # entries clears it again and again in mid-walk, which must not change
+    # a count.
+    if cap is not None:
+        monkeypatch.setattr(engine, "_walk_memo_cap", lambda n: cap)
+    rng = random.Random(7070)
+    for _ in range(40):
+        n = rng.randint(0, 16)
+        g = random_graph(rng, n, rng.random())
+        want = naive_mis_profile(g)
+        for k in [*range(n + 1), None]:
+            seen: list[int] = []
+            enumerate_k_mis(g, k, seen.append)
+            expect = sum(want.values()) if k is None else want.get(k, 0)
+            assert enumerate_k_mis(g, k) == len(seen) == expect, (g, k)
+    for build, k, t, m in BLOWUP_COUNTS:
+        obj = build(k, t, m)
+        g = getattr(obj, "graph", obj)
+        for size in (k, None) if g.n <= 40 else (k,):
+            seen = []
+            enumerate_k_mis(g, size, seen.append)
+            assert enumerate_k_mis(g, size) == len(seen), (build.__name__, k, t, m, size)
+
+
+def test_counts_in_the_extremal_regime_read_repeated_states():
+    # Disjoint unions of identical pieces have counts far beyond any walk
+    # that visits sets one by one; their repeated states make them cheap.
+    union = disjoint_gadget_union(30, 3, 4)
+    assert rec_calls(lambda: count_k_mis(union, 30))[0] == 4**15
+    union = disjoint_gadget_union(30, 3, 4)
+    assert rec_calls(lambda: count_all_mis(union))[0] == 6**15
+    matching = Graph.from_edges(120, [(2 * i, 2 * i + 1) for i in range(60)])
+    assert rec_calls(lambda: count_all_mis(matching))[0] == 2**60
 
 
 def test_cycle_blowup_counts_clear_family_floor():
