@@ -21,6 +21,7 @@ from .graphs import (
     Graph,
     Hypergraph,
     PartitionedGraph,
+    _made,
     check_vertex_count,
     cliques_of_size,
     disjoint_union,
@@ -227,7 +228,7 @@ def tight_cycle(r: int, k: int) -> Hypergraph:
         if e not in seen:
             seen.add(e)
             edges.append(e)
-    return Hypergraph(k, tuple(edges))
+    return _made(Hypergraph, n=k, edges=tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -379,7 +380,7 @@ def blowup(spec: BlowupSpec) -> Blowup:
         for gp in gadget_pgs
     )
     return Blowup(
-        graph=Graph(n_total, tuple(rows)),
+        graph=_made(Graph, n=n_total, adj=tuple(rows)),
         parts=tuple(parts),
         template=h,
         gadget_mis=gadget_mis,
@@ -467,7 +468,7 @@ def window_hypergraph(r: int, k: int, n: int) -> Hypergraph:
         for pair in combinations(parts[i], 2):
             for combo in product(*singles):
                 edges.append(tuple(sorted(pair + combo)))
-    return Hypergraph(n, tuple(edges))
+    return _made(Hypergraph, n=n, edges=tuple(edges))
 
 
 def star_hypergraph(n: int) -> Hypergraph:
@@ -479,9 +480,8 @@ def star_hypergraph(n: int) -> Hypergraph:
     if n < 4:
         raise ValueError("need n >= 4")
     check_vertex_count(n)
-    return Hypergraph(
-        n, tuple((0, u, w) for u in range(1, n) for w in range(u + 1, n))
-    )
+    edges = tuple((0, u, w) for u in range(1, n) for w in range(u + 1, n))
+    return _made(Hypergraph, n=n, edges=edges)
 
 
 def dominating_clique_graph(t: int, n: int) -> Graph:

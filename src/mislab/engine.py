@@ -47,7 +47,9 @@ of it is asked, its counts at every size from one all-sizes walk of its
 type's core that tallies the sets by size.  Later sizes read the memo.  A
 caller that asks one size, or the same size again, keeps the size-k walk:
 the tallying walk visits every set, with no walk memo (a perfect matching
-on 60 vertices has 2^30 MIS's, none of size 10).  The memo keys by identity
+on 60 vertices has 2^30 MIS's, none of size 10).  For the same reason
+``count_all_mis`` reads a profile but never fills one; else it runs the
+counting walk, which keeps its walk memo.  The memo keys by identity
 and holds the object, so an id is never reused while it is held; an equal
 but distinct object walks again.  It is not a cached property on ``Graph``
 or ``Hypergraph``: callers that keep thousands of small objects alive would
@@ -218,13 +220,10 @@ def count_k_mis(g: Graph, k: int) -> int:
 def count_all_mis(g: Graph) -> int:
     """Exact number of maximal independent sets of any size."""
     global _memo
-    last, asked, profile = _memo
-    if last is g:
-        if profile:
-            return sum(profile)
-        if asked is not None:
-            return sum(_profile(g, enumerate_k_mis))
-    _memo = (g, None, ())
+    if _memo[0] is not g:
+        _memo = (g, None, ())
+    elif _memo[2]:
+        return sum(_memo[2])
     return enumerate_k_mis(g, None)
 
 

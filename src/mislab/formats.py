@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .graphs import MAX_VERTICES, Graph, Hypergraph
+from .graphs import MAX_VERTICES, Graph, Hypergraph, _made
 
 
 def graph6_encode(g: Graph) -> bytes:
@@ -85,7 +85,7 @@ def graph6_decode(data: bytes | str) -> Graph:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
             col ^= low
-    return Graph(n, tuple(rows))
+    return _made(Graph, n=n, adj=tuple(rows))
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:

@@ -8,14 +8,20 @@ cache derived bitmask tables (a graph's closed neighborhoods, a hypergraph's
 per-vertex edge rests, its link table and its largest sizes, a partition's
 part masks) on first use; the cache is not a field, so it never changes
 equality, hashing or the stored structure, and graphs and hypergraphs pickle
-without it.
+without it.  It takes no lock: the objects are shared between processes, not
+threads, and a race could only build the same table twice.
+
+Input is checked once, where it enters: ``Graph(n, adj)``, ``from_edges``,
+``Hypergraph(n, edges)``, ``PartitionedGraph``, graph6 and JSON.  What the
+library derives from valid objects (``relabel``, ``induced_subgraph``,
+``disjoint_union``, ``partite_complement``, the graph6 rows, constructions)
+``_made`` builds without the checks, but within ``MAX_VERTICES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 # Desk-scale cap on vertex counts; every construction in this package stays
 # well below it, and the exhaustive search enforces much tighter caps.
@@ -56,12 +62,28 @@ def as_mask(n: int, s: VertexSet) -> int:
     return m
 
 
+class _cached:
+    """``functools.cached_property`` without its lock: the first read stores
+    the table in the instance ``__dict__``, ahead of this non-data descriptor."""
+
+    def __init__(self, build):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.build(obj))
+
+
 def _without_caches(obj: object) -> dict:
-    """Pickle state minus the ``cached_property`` tables, which rebuild on use."""
+    """Pickle state minus the ``_cached`` tables, which rebuild on use."""
     cls = type(obj)
-    return {
-        k: v for k, v in vars(obj).items() if not isinstance(getattr(cls, k, None), cached_property)
-    }
+    return {k: v for k, v in vars(obj).items() if not isinstance(getattr(cls, k, None), _cached)}
+
+
+def _made(cls: type, **fields: object) -> Any:
+    """A ``cls`` from fields valid by construction, without ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -102,7 +124,8 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        check_vertex_count(n)
+        return _made(cls, n=n, adj=tuple(rows))
 
     @classmethod
     def empty(cls, n: int) -> Graph:
@@ -119,7 +142,7 @@ class Graph:
             raise ValueError("cycle needs at least 3 vertices")
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
-    @cached_property
+    @_cached
     def closed(self) -> tuple[int, ...]:
         """Closed neighborhoods: ``closed[v]`` is ``adj[v]`` plus v itself."""
         return tuple(row | (1 << v) for v, row in enumerate(self.adj))
@@ -142,7 +165,7 @@ class Graph:
         for v in range(self.n):
             for u in iter_bits(self.adj[v]):
                 rows[p[v]] |= 1 << p[u]
-        return Graph(self.n, tuple(rows))
+        return _made(Graph, n=self.n, adj=tuple(rows))
 
 
 def induced_subgraph(g: Graph, vertices: VertexSet) -> tuple[Graph, tuple[int, ...]]:
@@ -154,7 +177,7 @@ def induced_subgraph(g: Graph, vertices: VertexSet) -> tuple[Graph, tuple[int, .
         for u in iter_bits(g.adj[v]):
             if u in index:
                 rows[index[v]] |= 1 << index[u]
-    return Graph(len(keep), tuple(rows)), tuple(keep)
+    return _made(Graph, n=len(keep), adj=tuple(rows)), tuple(keep)
 
 
 def is_maximal_independent(g: Graph, s: VertexSet) -> bool:
@@ -240,6 +263,22 @@ def cliques_of_size(g: Graph, r: int) -> Iterator[tuple[int, ...]]:
     yield from extend([], g.full_mask(), r)
 
 
+def _check_edges(n: int, edges: tuple[tuple[int, ...], ...], presorted: bool) -> None:
+    """Hypergraph's checks, in one pass; a presorted edge is only checked for repeats."""
+    check_vertex_count(n)
+    seen = set()
+    for e in edges:
+        if len(e) < 2:
+            raise ValueError(f"edge {e} has fewer than 2 vertices")
+        if (len(set(e)) < len(e)) if presorted else list(e) != sorted(set(e)):
+            raise ValueError(f"edge {e} not sorted or has repeats")
+        if e[0] < 0 or e[-1] >= n:
+            raise ValueError(f"edge {e} out of range for n={n}")
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Edge list over 0..n-1; every edge is a sorted tuple of size >= 2."""
@@ -250,27 +289,18 @@ class Hypergraph:
     __getstate__ = _without_caches
 
     def __post_init__(self) -> None:
-        check_vertex_count(self.n)
-        seen = set()
-        for e in self.edges:
-            if len(e) < 2:
-                raise ValueError(f"edge {e} has fewer than 2 vertices")
-            if list(e) != sorted(set(e)):
-                raise ValueError(f"edge {e} not sorted or has repeats")
-            if e[0] < 0 or e[-1] >= self.n:
-                raise ValueError(f"edge {e} out of range for n={self.n}")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
+        _check_edges(self.n, self.edges, False)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Iterable[int]]) -> Hypergraph:
-        return cls(n, tuple(tuple(sorted(e)) for e in edges))
+        edges = tuple(tuple(sorted(e)) for e in edges)
+        _check_edges(n, edges, True)
+        return _made(cls, n=n, edges=edges)
 
     def uniform(self, r: int) -> bool:
         return all(len(e) == r for e in self.edges)
 
-    @cached_property
+    @_cached
     def rest_masks(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex v, the mask of e minus v for each edge e through v, in edge order."""
         rests: list[list[int]] = [[] for _ in range(self.n)]
@@ -282,7 +312,7 @@ class Hypergraph:
                 rests[v].append(em ^ (1 << v))
         return tuple(map(tuple, rests))
 
-    @cached_property
+    @_cached
     def link(self) -> dict[int, int]:
         """Mask of e minus w -> OR of all such w, over edges e and w in e (read-only)."""
         link: dict[int, int] = {}
@@ -291,7 +321,7 @@ class Hypergraph:
                 link[rest] = link.get(rest, 0) | 1 << w
         return link
 
-    @cached_property
+    @_cached
     def max_sizes(self) -> tuple[int, int]:
         """Largest edge size (2 with no edges) and most edges through one vertex."""
         return max(map(len, self.edges), default=2), max(map(len, self.rest_masks), default=0)
@@ -323,7 +353,7 @@ class PartitionedGraph:
             masks.append(m)
         if seen != self.graph.full_mask():
             raise ValueError("parts do not cover the vertex set")
-        # Kept outside the fields, like a cached_property, for part_masks().
+        # Kept outside the fields, like a _cached table, for part_masks().
         object.__setattr__(self, "_part_masks", tuple(masks))
 
     @classmethod
@@ -357,7 +387,7 @@ def partite_complement(pg: PartitionedGraph) -> PartitionedGraph:
             if g.adj[v] & mask:
                 raise ValueError("intra-part edge; partite complement undefined")
             rows[v] = full & ~g.adj[v] & ~mask
-    return PartitionedGraph(Graph(g.n, tuple(rows)), pg.parts)
+    return PartitionedGraph(_made(Graph, n=g.n, adj=tuple(rows)), pg.parts)
 
 
 def disjoint_union(gs: Iterable[Graph]) -> Graph:
@@ -367,4 +397,5 @@ def disjoint_union(gs: Iterable[Graph]) -> Graph:
     for g in gs:
         rows.extend(row << offset for row in g.adj)
         offset += g.n
-    return Graph(offset, tuple(rows))
+    check_vertex_count(offset)
+    return _made(Graph, n=offset, adj=tuple(rows))

@@ -199,6 +199,20 @@ def test_profile_walk_runs_only_when_a_second_size_is_asked(monkeypatch):
     assert [k for _, k in walks] == [None, None]
 
 
+def test_every_size_after_one_size_runs_the_counting_walk():
+    # A tallying walk has a visitor and so no walk memo: it would visit all
+    # 2^20 sets of this matching one node at a time and trip rec_calls.
+    matching = Graph.from_edges(40, [(2 * i, 2 * i + 1) for i in range(20)])
+    assert count_k_mis(matching, 6) == 0
+    assert rec_calls(lambda: count_all_mis(matching)) == (2**20, 79)
+    assert rec_calls(lambda: count_all_mis(matching)) == (2**20, 79)
+    assert count_k_mis(matching, 20) == 2**20
+    g = Graph.cycle(9)
+    want = naive_mis_profile(g)
+    assert count_k_mis(g, 3) == want[3] and count_all_mis(g) == sum(want.values())
+    assert [count_k_mis(g, k) for k in range(g.n + 1)] == [want.get(k, 0) for k in range(g.n + 1)]
+
+
 def test_count_invariant_under_relabeling():
     rng = random.Random(55)
     for _ in range(60):

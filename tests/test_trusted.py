@@ -1,0 +1,189 @@
+"""Objects built without re-validation equal what the public constructors build.
+
+``graphs._made`` skips ``__post_init__`` for graphs and hypergraphs that are
+valid by construction.  Each such path is run here on seeded inputs, and the
+public constructor must accept its output and give an equal object.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import pickle
+import random
+
+import pytest
+
+from mislab import (
+    Graph,
+    Hypergraph,
+    PartitionedGraph,
+    count_k_mis,
+    disjoint_gadget_union,
+    disjoint_union,
+    gadget,
+    graph6_decode,
+    graph6_encode,
+    hypergraph_count_k_mis,
+    induced_subgraph,
+    partite_complement,
+    rs_packing,
+    star_hypergraph,
+    tight_cycle,
+    tight_cycle_blowup,
+    window_hypergraph,
+)
+from mislab.cli import main
+from mislab.graphs import MAX_VERTICES
+from mislab.search import _slots, graph_from_edge_mask
+from naive import random_graph, random_mixed_hypergraph
+
+
+def assert_public_twin(x: Graph | Hypergraph) -> None:
+    """The public constructor accepts x's fields and builds an equal object."""
+    assert type(x) in (Graph, Hypergraph)
+    names = [f.name for f in dataclasses.fields(x)]
+    assert list(vars(x)) == names
+    twin = type(x)(*(getattr(x, name) for name in names))
+    assert twin == x and hash(twin) == hash(x) and repr(twin) == repr(x)
+    assert pickle.dumps(twin) == pickle.dumps(x)
+
+
+def _random_graphs(seed: int, count: int, largest: int = 14) -> list[Graph]:
+    rng = random.Random(seed)
+    return [random_graph(rng, rng.randint(0, largest), rng.random()) for _ in range(count)]
+
+
+def test_graph6_round_trips_build_equal_graphs():
+    rng = random.Random(8101)
+    graphs = _random_graphs(8102, 60)
+    # n > 62 takes the 4-byte size header.
+    graphs += [random_graph(rng, n, rng.random() * 0.3) for n in (62, 63, 64, 100, MAX_VERTICES)]
+    for g in graphs:
+        back = graph6_decode(graph6_encode(g))
+        assert back == g
+        assert_public_twin(back)
+    assert graph6_encode(graphs[-2])[:1] == b"~"
+
+
+def test_graph_builders_give_equal_graphs():
+    rng = random.Random(8201)
+    for g in _random_graphs(8202, 80):
+        assert_public_twin(g)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert_public_twin(g.relabel(perm))
+        sub, _ = induced_subgraph(g, rng.getrandbits(g.n))
+        assert_public_twin(sub)
+        assert_public_twin(disjoint_union([g, sub, g]))
+        # Two random parts, with the edges inside them dropped: those have no
+        # partite complement.
+        a = rng.getrandbits(g.n)
+        b = g.full_mask() ^ a
+        adj = tuple(row & (b if a >> v & 1 else a) for v, row in enumerate(g.adj))
+        parts = [p for p in ([v for v in range(g.n) if m >> v & 1] for m in (a, b)) if p]
+        pg = PartitionedGraph.from_parts(Graph(g.n, adj), parts)
+        comp = partite_complement(pg)
+        assert_public_twin(comp.graph)
+        assert partite_complement(comp) == pg
+
+
+def test_disjoint_union_past_max_vertices_is_rejected():
+    half = Graph.empty(MAX_VERTICES // 2)
+    assert disjoint_union([half, half]).n == MAX_VERTICES
+    with pytest.raises(ValueError, match=rf"^vertex count {MAX_VERTICES + 1} outside"):
+        disjoint_union([half, half, Graph.empty(1)])
+
+
+# Every tight, union, RS and window spec of perfbench's blowups workload.
+TIGHT = [(10, 4, 2), (9, 4, 2), (6, 3, 4), (8, 4, 2), (7, 3, 3), (5, 3, 4), (5, 3, 3),
+         (7, 3, 2), (6, 3, 2), (5, 3, 2)]
+UNION = [(9, 4, 3), (12, 5, 2), (6, 3, 4)]
+RS = [20, 16, 12, 8]
+WINDOW = [(4, 5, 20), (4, 4, 20)]
+
+
+def test_constructions_give_equal_objects():
+    for k, t, m in TIGHT:
+        bw = tight_cycle_blowup(k, t, m)
+        assert_public_twin(bw.graph)
+        assert_public_twin(bw.template)
+    for k, t, m in UNION:
+        assert_public_twin(disjoint_gadget_union(k, t, m))
+    for m in RS:
+        assert_public_twin(gadget(rs_packing(m)).graph)
+    for r, k, n in WINDOW:
+        assert_public_twin(window_hypergraph(r, k, n))
+    for r, k, n in [(3, 3, 7), (3, 4, 13), (5, 4, 11)]:
+        assert_public_twin(window_hypergraph(r, k, n))
+    for r, k in [(2, 5), (3, 3), (3, 7), (4, 9), (5, 5)]:
+        assert_public_twin(tight_cycle(r, k))
+    for n in (4, 5, 9):
+        assert_public_twin(star_hypergraph(n))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_edge_masks_give_equal_graphs(r):
+    rng = random.Random(8300 + r)
+    for n in range(r, 9):
+        slots = len(_slots(n, r))
+        for _ in range(12):
+            assert_public_twin(graph_from_edge_mask(n, rng.getrandbits(slots), r))
+
+
+# One bad edge each, with the message Hypergraph.from_edges has always given.
+BAD_EDGES = [
+    ([(1,)], "edge (1,) has fewer than 2 vertices"),
+    ([(1, 0, 1)], "edge (0, 1, 1) not sorted or has repeats"),
+    ([(3, 0)], "edge (0, 3) out of range for n=3"),
+    ([(0, -1)], "edge (-1, 0) out of range for n=3"),
+    ([(0, 1), (2, 1, 0), (1, 0)], "duplicate edge (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("edges,message", BAD_EDGES)
+def test_hypergraph_from_edges_errors_keep_their_messages(edges, message, tmp_path, capsys):
+    with pytest.raises(ValueError) as info:
+        Hypergraph.from_edges(3, edges)
+    assert str(info.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "edges": [list(e) for e in edges]}))
+    assert main(["count", "--graph", str(path), "--k", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: cannot parse {path}: {message}\n"
+
+
+def test_hypergraph_from_edges_sorts_once_and_checks_the_vertex_count():
+    h = Hypergraph.from_edges(5, ([4, 0, 2], (3, 1), iter([2, 1])))
+    assert h.edges == ((0, 2, 4), (1, 3), (1, 2))
+    assert_public_twin(h)
+    with pytest.raises(ValueError, match=rf"^vertex count {MAX_VERTICES + 1} outside"):
+        Hypergraph.from_edges(MAX_VERTICES + 1, [])
+
+
+def test_cached_tables_are_built_once_and_are_not_fields():
+    rng = random.Random(8401)
+    for g in _random_graphs(8402, 30):
+        public = Graph(g.n, g.adj)
+        made = graph6_decode(graph6_encode(g))
+        for x in (public, made):
+            closed = x.closed
+            assert x.closed is closed and vars(x)["closed"] is closed
+        assert public.closed == made.closed
+        assert "closed" not in {f.name for f in dataclasses.fields(Graph)}
+        # A filled cache changes no comparison, hash or repr.
+        fresh = Graph(g.n, g.adj)
+        assert made == fresh and hash(made) == hash(fresh) and repr(made) == repr(fresh)
+        assert [count_k_mis(made, k) for k in range(g.n + 1)] == [
+            count_k_mis(fresh, k) for k in range(g.n + 1)
+        ]
+    for _ in range(30):
+        h = random_mixed_hypergraph(rng, rng.randint(0, 9), rng.randint(0, 10))
+        made = Hypergraph.from_edges(h.n, [list(reversed(e)) for e in h.edges])
+        for name in ("rest_masks", "link", "max_sizes"):
+            table = getattr(made, name)
+            assert getattr(made, name) is table and getattr(h, name) == table
+        fresh = Hypergraph(h.n, h.edges)
+        assert made == fresh and hash(made) == hash(fresh) and repr(made) == repr(fresh)
+        k = min(h.n, 2)
+        assert hypergraph_count_k_mis(made, k) == hypergraph_count_k_mis(fresh, k)
