@@ -13,15 +13,27 @@ size calls no child: it must cover every undominated vertex, so it lies in
 the closed neighborhood of the lowest one, and each such candidate is
 settled with a single mask compare.
 
-A walk without a visitor also keeps a memo of subtree counts.  The count
-below ``rec(pos, need, dom, chosen)`` depends on pos, need and dom alone
-(chosen only feeds the visitor), so a state that another branch counted
-costs one dict lookup.  The key packs it into one int, ``((dom << s | pos)
-<< s) + need`` with s = n.bit_length() + 1; need is keyed as 0 without a
-size target.  Unlike the one-entry ``_memo`` below, it is a local of the
-call, cleared at ``_walk_memo_cap(n)`` entries (a 512 KiB budget) so a long
-count's memory stays flat.  A walk with a visitor keeps none: same sets,
-same order, same nodes.
+A walk without a visitor also keeps a memo of subtree counts, keyed by a
+child's residual subproblem: its candidates ``rest``, the picks it has left
+and the set of masks ``adj[u] & rest`` over the vertices u passed over and
+still undominated.  These fix the count below the child: a completion is an
+independent set of the size left inside rest that dominates all of rest
+and meets every mask.  The chosen set reaches rest only through dom, and a
+skipped vertex matters only through the candidates that can still dominate
+it, so branches that differ in which passed vertex is left undominated, or
+in the position they resume at, share an entry.  The parent's skip cut
+already computes the masks; it packs a sentinel bit, the picks left in s =
+n.bit_length() + 1 bits (0 without a size target), rest in n bits and each
+distinct mask in n bits, in sorted order, into one int, and looks the child
+up before calling it.  Children with one pick left are not keyed, and one
+with no candidates is a leaf, counted in place.  Unlike the one-entry
+``_memo`` below, the memo is a local of the call, charged for each entry's
+key and never above ``_walk_memo_cap(n)`` bytes (512 KiB), so a long
+count's memory stays flat.  It starts with an eighth of that, and is judged
+each time its room runs out.  With under about 1/8 of its lookups hit it is
+dropped for the rest of the walk, since states there seldom repeat; else it
+takes the rest of the budget the first time and starts afresh after that.
+A walk with a visitor keeps none: same sets, same order, same nodes.
 
 The hypergraph counter ``hypergraph_enumerate_k_mis`` is likewise one core
 for a fixed size k and for every size (k=None).  It keeps a "blocked" mask
@@ -93,7 +105,9 @@ def enumerate_k_mis(
     ``k=None`` visits the MIS's of every size.  Sets are visited in
     lexicographic order of their sorted vertices.  Returns the number
     visited.  The visitor may be None to just count; such a walk reads the
-    count of a state it reaches again from a per-call memo.
+    count below a child from a per-call memo keyed by the child's residual
+    subproblem (the module docstring), and drops the memo once it fills
+    with under about 1/8 of its lookups hit.
     """
     if k is not None and not 0 <= k <= g.n:
         raise ValueError(f"k={k} outside 0..{g.n}")
@@ -106,13 +120,16 @@ def enumerate_k_mis(
             return 1
         return 0
     closed = g.closed
-    memo: dict[int, int] | None = None
+    memo = None
     if visitor is None:
-        memo, cap, s = {}, _walk_memo_cap(n), n.bit_length() + 1
+        cap = _walk_memo_cap(n)
+        memo = _WalkMemo(cap // 8, cap - cap // 8)
+    s = n.bit_length() + 1
 
     # need counts the picks still to make; without a size target it starts
     # at 0 and only falls, so the count cuts (>= need) never fire.
     def rec(pos: int, need: int, dom: int, chosen: int) -> int:
+        nonlocal memo
         missing = full & ~dom
         fut = missing >> pos << pos
         if need == 1:
@@ -135,46 +152,107 @@ def enumerate_k_mis(
             if visitor is not None:
                 visitor(chosen)
             return 1
-        if memo is not None:
-            key = ((dom << s | pos) << s) + (need if need > 0 else 0)
-            if key in memo:
-                return memo[key]
         cand, found = fut, 0
+        if memo is None or need == 2:
+            while cand and cand.bit_count() >= need:
+                low = cand & -cand
+                v = low.bit_length() - 1
+                cand ^= low  # now the candidates above v
+                rest = cand & ~closed[v]
+                if rest.bit_count() >= need - 1:
+                    # Every vertex passed over and left undominated by v must
+                    # still be dominatable by a later pick, or no completion
+                    # of the child is maximal.  A last pick's compare checks it.
+                    undom = missing & (low - 1) & ~closed[v] if need != 2 else 0
+                    while undom:
+                        u = undom & -undom
+                        if not adj[u.bit_length() - 1] & rest:
+                            break
+                        undom ^= u
+                    else:
+                        found += rec(v + 1, need - 1, dom | closed[v], chosen | low)
+                # v is skipped from here on: a later pick must dominate it.
+                if not adj[v] & cand:
+                    break
+            return found
+        # A counting walk: the same loop, but the skip cut keeps the masks
+        # adj[u] & rest, and each child is keyed by its residual subproblem
+        # (module docstring): the picks left, rest and the distinct masks.
         while cand and cand.bit_count() >= need:
             low = cand & -cand
             v = low.bit_length() - 1
-            cand ^= low  # now the candidates above v
+            cand ^= low
             rest = cand & ~closed[v]
             if rest.bit_count() >= need - 1:
-                # Every vertex passed over and left undominated by v must
-                # still be dominatable by a later pick, or no completion of
-                # the child is maximal.  A last pick's compare checks this.
-                undom = missing & (low - 1) & ~closed[v] if need != 2 else 0
+                undom = missing & (low - 1) & ~closed[v]
+                masks = []
                 while undom:
                     u = undom & -undom
-                    if not adj[u.bit_length() - 1] & rest:
+                    a = adj[u.bit_length() - 1] & rest
+                    if not a:
                         break
+                    masks.append(a)
                     undom ^= u
                 else:
-                    found += rec(v + 1, need - 1, dom | closed[v], chosen | low)
-            # v is skipped from here on: a later pick must dominate it.
+                    if not rest:
+                        found += 1  # a leaf: nothing left to pick or dominate
+                    else:
+                        key = (1 << s | (need - 1 if need > 0 else 0)) << n | rest
+                        last = 0
+                        for a in sorted(masks):  # every mask is nonzero
+                            if a != last:
+                                key = key << n | a
+                                last = a
+                        got = None if memo is None else memo.get(key)
+                        if got is None:
+                            got = rec(v + 1, need - 1, dom | closed[v], chosen | low)
+                            if memo is not None:  # the child may have dropped it
+                                memo[key] = got
+                                memo.room -= 144 + key.bit_length() // 7
+                                if memo.room <= 0:
+                                    # Full: about len + hits lookups were made
+                                    # since it was new.  Under 1/8 hit, the
+                                    # memo goes for the rest of the walk;
+                                    # else it takes its reserve, or renews.
+                                    if 7 * memo.hits < len(memo):
+                                        memo = None
+                                    elif memo.more:
+                                        memo.room, memo.more = memo.more, 0
+                                    else:
+                                        memo = _WalkMemo(_walk_memo_cap(n))
+                        else:
+                            memo.hits += 1
+                        found += got
             if not adj[v] & cand:
                 break
-        if memo is not None:
-            if len(memo) >= cap:
-                memo.clear()
-            memo[key] = found
         return found
 
     return rec(0, 0 if k is None else k, 0, 0)
 
 
+class _WalkMemo(dict):
+    """A counting walk's subtree counts by key.
+
+    ``room`` is the budget left, in bytes, ``more`` the bytes held back for
+    when it runs out, and ``hits`` counts the lookups that hit since the
+    memo was made.  Keeping them here rather than in closure cells keeps
+    small the closure that every call of a visitor walk copies.
+    """
+
+    __slots__ = ("room", "more", "hits")
+
+    def __init__(self, room: int, more: int = 0) -> None:
+        self.room, self.more, self.hits = room, more, 0
+
+
 def _walk_memo_cap(n: int) -> int:
-    """Entries a counting walk's memo holds before it is cleared."""
-    # A 512 KiB budget.  An entry (an int key of n + 2s bits, a count and a
-    # dict slot) takes at most about 144 + n // 7 bytes under tracemalloc:
-    # 3382 entries at 80 vertices, 1456 at 1512.
-    return (1 << 19) // (144 + n // 7)
+    """Bytes a counting walk's memo on n vertices holds at most."""
+    # A 512 KiB budget for every n: the walk charges each entry for its own
+    # key.  An entry (an int key of b = 1 + s + n * (1 + masks) bits, a count
+    # and a dict slot) takes at most about 144 + b // 7 bytes under
+    # tracemalloc: 3120 entries of one mask each at 80 vertices, about 360 at
+    # 1512 vertices, where keys carry about five masks.
+    return 1 << 19
 
 
 # The last graph or hypergraph a counter was asked about, the size first

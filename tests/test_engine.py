@@ -9,9 +9,11 @@ import sys
 import pytest
 
 from mislab import (
+    BlowupSpec,
     Graph,
     Hypergraph,
     PartitionedGraph,
+    blowup,
     comatching,
     count_all_mis,
     count_k_mis,
@@ -28,6 +30,7 @@ from mislab import (
     is_maximal_independent,
     rs_packing,
     star_hypergraph,
+    tight_cycle,
     tight_cycle_blowup,
     transversal_mis_list,
     transversal_reduction,
@@ -204,8 +207,8 @@ def test_every_size_after_one_size_runs_the_counting_walk():
     # 2^20 sets of this matching one node at a time and trip rec_calls.
     matching = Graph.from_edges(40, [(2 * i, 2 * i + 1) for i in range(20)])
     assert count_k_mis(matching, 6) == 0
-    assert rec_calls(lambda: count_all_mis(matching)) == (2**20, 79)
-    assert rec_calls(lambda: count_all_mis(matching)) == (2**20, 79)
+    assert rec_calls(lambda: count_all_mis(matching)) == (2**20, 20)
+    assert rec_calls(lambda: count_all_mis(matching)) == (2**20, 20)
     assert count_k_mis(matching, 20) == 2**20
     g = Graph.cycle(9)
     want = naive_mis_profile(g)
@@ -719,7 +722,7 @@ def test_k_mis_walk_node_count_pinned():
     g = tight_cycle_blowup(8, 4, 2).graph
     seen: list[int] = []
     assert rec_calls(lambda: enumerate_k_mis(g, 8, seen.append)) == (1120, 8555)
-    assert rec_calls(lambda: count_k_mis(g, 8)) == (1120, 6319)
+    assert rec_calls(lambda: count_k_mis(g, 8)) == (1120, 2532)
 
 
 # The tight blowups and disjoint gadget unions that perfbench's blowups
@@ -737,9 +740,9 @@ BLOWUP_COUNTS = [
 
 @pytest.mark.parametrize("cap", [None, 1, 3])
 def test_counting_walk_memo_matches_the_visitor_walk_and_naive(monkeypatch, cap):
-    # The walk memo serves only walks without a visitor.  A cap of 1 or 3
-    # entries clears it again and again in mid-walk, which must not change
-    # a count.
+    # The walk memo serves only walks without a visitor.  A budget of 1 or 3
+    # bytes fills it at its first store and drops it in mid-walk, which must
+    # not change a count.
     if cap is not None:
         monkeypatch.setattr(engine, "_walk_memo_cap", lambda n: cap)
     rng = random.Random(7070)
@@ -770,6 +773,95 @@ def test_counts_in_the_extremal_regime_read_repeated_states():
     assert rec_calls(lambda: count_all_mis(union))[0] == 6**15
     matching = Graph.from_edges(120, [(2 * i, 2 * i + 1) for i in range(60)])
     assert rec_calls(lambda: count_all_mis(matching))[0] == 2**60
+
+
+def _complete_multipartite(sizes: list[int], rng: random.Random) -> Graph:
+    # Shuffled labels, so that twins are not consecutive in the walk's order.
+    label = list(range(sum(sizes)))
+    rng.shuffle(label)
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return Graph.from_edges(len(part), [
+        (label[u], label[v]) for u in range(len(part)) for v in range(u) if part[u] != part[v]
+    ])
+
+
+@pytest.mark.parametrize("cap", [None, 1, 3, 32000])
+def test_residual_key_counts_match_naive_where_skipped_vertices_are_twins(monkeypatch, cap):
+    # The walk memo keys a state by its candidates, the picks left and the
+    # set of masks adj[u] & rest of the vertices u passed over and still
+    # undominated.  Twins give equal masks, so these graphs merge the most
+    # states.  A budget of 1 or 3 bytes drops the memo at its first store;
+    # one of 32000 fills it again and again.
+    if cap is not None:
+        monkeypatch.setattr(engine, "_walk_memo_cap", lambda n: cap)
+    rng = random.Random(2525)
+    sizes = [[1, 6], [3, 4], [5, 5], [2, 11], [6, 7], [2, 3, 4], [1, 1, 5, 6]]
+    graphs = [_complete_multipartite(s, rng) for s in sizes]
+    graphs += [gadget(rs_packing(2)).graph, disjoint_gadget_union(4, 3, 2)]
+    for g in graphs:
+        assert g.n <= 14
+        want = naive_mis_profile(g)
+        for k in [*range(g.n + 1), None]:
+            seen: list[int] = []
+            enumerate_k_mis(g, k, seen.append)
+            expect = sum(want.values()) if k is None else want.get(k, 0)
+            assert enumerate_k_mis(g, k) == len(seen) == expect, (g, k)
+    if cap == 32000:
+        for build, k, t, m in BLOWUP_COUNTS:
+            obj = build(k, t, m)
+            g = getattr(obj, "graph", obj)
+            seen = []
+            enumerate_k_mis(g, k, seen.append)
+            assert enumerate_k_mis(g, k) == len(seen), (build.__name__, k, t, m)
+
+
+def test_a_memo_that_seldom_hits_is_dropped_and_counts_stay(monkeypatch):
+    # A memo that fills with under 1/8 of its lookups hit is dropped.  This
+    # random graph's first fill holds 371 entries and reads 4 hits, so the
+    # walk makes nearly the visitor walk's calls (a kept memo makes 18,946).
+    g = random_graph(random.Random(2), 50, 0.3)
+    count, calls = rec_calls(lambda: enumerate_k_mis(g, 7, lambda s: None))
+    assert count == 1612
+    assert calls - 100 < rec_calls(lambda: enumerate_k_mis(g, 7))[1] < calls
+    # With a budget of one byte the first store fills the memo, no lookup
+    # has hit, and the walk goes on without it: it calls exactly the visitor
+    # walk's nodes.
+    rng = random.Random(3131)
+    cases = [(random_graph(rng, n, p), k) for n, p, k in [(30, 0.2, 6), (24, 0.3, 5), (28, 0.5, 4)]]
+    cases.append((tight_cycle_blowup(8, 4, 2).graph, 8))
+    plain = [rec_calls(lambda: enumerate_k_mis(g, k, lambda s: None)) for g, k in cases]
+    monkeypatch.setattr(engine, "_walk_memo_cap", lambda n: 1)
+    assert [rec_calls(lambda: enumerate_k_mis(g, k)) for g, k in cases] == plain
+    # A memo whose fills hit often is kept and renewed: with a budget of
+    # 32000 bytes the tight blowup calls fewer nodes than the visitor walk
+    # but more than with the real budget, where it is never renewed.
+    monkeypatch.setattr(engine, "_walk_memo_cap", lambda n: 32000)
+    g = cases[-1][0]
+    assert 2532 < rec_calls(lambda: enumerate_k_mis(g, 8))[1] < 8555
+
+
+def test_a_random_graph_before_a_matching_keeps_the_memo():
+    # A random graph's states seldom repeat, but every one of its 17,073
+    # MIS's reaches the matching in the same state.  A walk that dropped its
+    # memo would visit the 2^30 sets of the matching once per MIS.
+    g = random_graph(random.Random(1), 50, 0.2)
+    union = disjoint_union([g, Graph.from_edges(60, [(2 * i, 2 * i + 1) for i in range(30)])])
+    assert count_all_mis(g) == 17073
+    assert rec_calls(lambda: count_all_mis(union))[0] == 17073 * 2**30
+
+
+def test_rs_blowup_at_m2_counts_pinned(monkeypatch):
+    # The paper's K_4-free lower-bound construction (Ruzsa-Szemeredi gadgets
+    # on the tight 6-cycle) at m=2, past the 128-vertex cap.  Its 448
+    # vertices have only 277 distinct open neighbourhoods: false twins, whose
+    # equal masks the walk memo's key merges.
+    monkeypatch.setattr("mislab.graphs.MAX_VERTICES", 448)
+    bw = blowup(BlowupSpec(tight_cycle(3, 6), (2,) * 6, "rs"))
+    g = bw.graph
+    assert g.n == 448 and len(set(g.adj)) == 277
+    assert bw.family_size() == 4096
+    assert enumerate_k_mis(g, 6, lambda s: None) == 4864
+    assert count_k_mis(g, 6) == 4864
 
 
 def test_cycle_blowup_counts_clear_family_floor():
