@@ -28,12 +28,14 @@ distinct mask in n bits, in sorted order, into one int, and looks the child
 up before calling it.  Children with one pick left are not keyed, and one
 with no candidates is a leaf, counted in place.  Unlike the one-entry
 ``_memo`` below, the memo is a local of the call, charged for each entry's
-key and never above ``_walk_memo_cap(n)`` bytes (512 KiB), so a long
-count's memory stays flat.  It starts with an eighth of that, and is judged
-each time its room runs out.  With under about 1/8 of its lookups hit it is
+key and never above ``_WALK_MEMO_BYTES`` (512 KiB), so a long count's
+memory stays flat.  It starts with an eighth of that, and is judged each
+time its room runs out.  With under about 1/8 of its lookups hit it is
 dropped for the rest of the walk, since states there seldom repeat; else it
 takes the rest of the budget the first time and starts afresh after that.
-A walk with a visitor keeps none: same sets, same order, same nodes.
+A walk with a visitor runs the same candidate loop and just calls each child
+that passes the cuts, as a walk that has dropped its memo does: same sets,
+same order, same nodes.
 
 The hypergraph counter ``hypergraph_enumerate_k_mis`` is likewise one core
 for a fixed size k and for every size (k=None).  It keeps a "blocked" mask
@@ -52,20 +54,20 @@ The counters read these tables from the immutable objects, which build each
 once, on first use (``Graph.closed``, ``Hypergraph.rest_masks``, ``link`` and
 ``max_sizes``, the guard's two inputs, and ``PartitionedGraph.part_masks``).
 
-``count_k_mis``, ``count_all_mis`` and ``hypergraph_count_k_mis`` share a
-one-entry memo across calls: the last graph or hypergraph object asked
-about, the size first asked (None for every size) and, once a second size
-of it is asked, its counts at every size from one all-sizes walk of its
-type's core that tallies the sets by size.  Later sizes read the memo.  A
-caller that asks one size, or the same size again, keeps the size-k walk:
-the tallying walk visits every set, with no walk memo (a perfect matching
-on 60 vertices has 2^30 MIS's, none of size 10).  For the same reason
-``count_all_mis`` reads a profile but never fills one; else it runs the
-counting walk, which keeps its walk memo.  The memo keys by identity
-and holds the object, so an id is never reused while it is held; an equal
-but distinct object walks again.  It is not a cached property on ``Graph``
-or ``Hypergraph``: callers that keep thousands of small objects alive would
-each carry a profile that only the last one needs.
+``count_k_mis``, ``count_all_mis`` (k=None) and ``hypergraph_count_k_mis``
+go through ``_count_k``, which keeps a one-entry memo across calls: the last
+graph or hypergraph object asked about, the size first asked (None for every
+size) and, once a second size of it is asked, its counts at every size from
+one all-sizes walk of its type's core that tallies the sets by size.  Later
+sizes read the memo.  A caller that asks one size, or the same size again,
+keeps the size-k walk: the tallying walk visits every set, with no walk memo
+(a perfect matching on 60 vertices has 2^30 MIS's, none of size 10).  For
+the same reason ``count_all_mis`` reads a profile but never fills one; else
+it runs the counting walk, which keeps its walk memo.  The memo keys by
+identity and holds the object, so an id is never reused while it is held;
+an equal but distinct object walks again.  It is not a cached property on
+``Graph`` or ``Hypergraph``: callers that keep thousands of small objects
+alive would each carry a profile that only the last one needs.
 
 ``transversal_reduction`` runs no counter per random split.  Every split's
 transversal MIS's come from one list, the k-MIS's of the kept subgraph with
@@ -122,12 +124,12 @@ def enumerate_k_mis(
     closed = g.closed
     memo = None
     if visitor is None:
-        cap = _walk_memo_cap(n)
+        cap = _WALK_MEMO_BYTES
         memo = _WalkMemo(cap // 8, cap - cap // 8)
     s = n.bit_length() + 1
 
     # need counts the picks still to make; without a size target it starts
-    # at 0 and only falls, so the count cuts (>= need) never fire.
+    # at 0 and only falls, so the count cuts (>= need) are skipped.
     def rec(pos: int, need: int, dom: int, chosen: int) -> int:
         nonlocal memo
         missing = full & ~dom
@@ -152,49 +154,35 @@ def enumerate_k_mis(
             if visitor is not None:
                 visitor(chosen)
             return 1
+        # A counting walk keys each child by its residual subproblem (module
+        # docstring): the picks left, rest and the distinct masks adj[u] & rest
+        # that the skip cut finds.  A visitor walk, a call that starts after
+        # the memo was dropped and a child with one pick left just call it.
+        keyed = memo is not None and need != 2
         cand, found = fut, 0
-        if memo is None or need == 2:
-            while cand and cand.bit_count() >= need:
-                low = cand & -cand
-                v = low.bit_length() - 1
-                cand ^= low  # now the candidates above v
-                rest = cand & ~closed[v]
-                if rest.bit_count() >= need - 1:
-                    # Every vertex passed over and left undominated by v must
-                    # still be dominatable by a later pick, or no completion
-                    # of the child is maximal.  A last pick's compare checks it.
-                    undom = missing & (low - 1) & ~closed[v] if need != 2 else 0
-                    while undom:
-                        u = undom & -undom
-                        if not adj[u.bit_length() - 1] & rest:
-                            break
-                        undom ^= u
-                    else:
-                        found += rec(v + 1, need - 1, dom | closed[v], chosen | low)
-                # v is skipped from here on: a later pick must dominate it.
-                if not adj[v] & cand:
-                    break
-            return found
-        # A counting walk: the same loop, but the skip cut keeps the masks
-        # adj[u] & rest, and each child is keyed by its residual subproblem
-        # (module docstring): the picks left, rest and the distinct masks.
-        while cand and cand.bit_count() >= need:
+        while cand and (need <= 0 or cand.bit_count() >= need):
             low = cand & -cand
             v = low.bit_length() - 1
-            cand ^= low
+            cand ^= low  # now the candidates above v
             rest = cand & ~closed[v]
-            if rest.bit_count() >= need - 1:
-                undom = missing & (low - 1) & ~closed[v]
-                masks = []
+            if need <= 0 or rest.bit_count() >= need - 1:
+                # Every vertex passed over and left undominated by v must
+                # still be dominatable by a later pick, or no completion
+                # of the child is maximal.  A last pick's compare checks it.
+                undom = missing & (low - 1) & ~closed[v] if need != 2 else 0
+                masks = [] if keyed else None
                 while undom:
                     u = undom & -undom
                     a = adj[u.bit_length() - 1] & rest
                     if not a:
                         break
-                    masks.append(a)
+                    if keyed:
+                        masks.append(a)
                     undom ^= u
                 else:
-                    if not rest:
+                    if not keyed:
+                        found += rec(v + 1, need - 1, dom | closed[v], chosen | low)
+                    elif not rest:
                         found += 1  # a leaf: nothing left to pick or dominate
                     else:
                         key = (1 << s | (need - 1 if need > 0 else 0)) << n | rest
@@ -219,10 +207,11 @@ def enumerate_k_mis(
                                     elif memo.more:
                                         memo.room, memo.more = memo.more, 0
                                     else:
-                                        memo = _WalkMemo(_walk_memo_cap(n))
+                                        memo = _WalkMemo(_WALK_MEMO_BYTES)
                         else:
                             memo.hits += 1
                         found += got
+            # v is skipped from here on: a later pick must dominate it.
             if not adj[v] & cand:
                 break
         return found
@@ -245,14 +234,12 @@ class _WalkMemo(dict):
         self.room, self.more, self.hits = room, more, 0
 
 
-def _walk_memo_cap(n: int) -> int:
-    """Bytes a counting walk's memo on n vertices holds at most."""
-    # A 512 KiB budget for every n: the walk charges each entry for its own
-    # key.  An entry (an int key of b = 1 + s + n * (1 + masks) bits, a count
-    # and a dict slot) takes at most about 144 + b // 7 bytes under
-    # tracemalloc: 3120 entries of one mask each at 80 vertices, about 360 at
-    # 1512 vertices, where keys carry about five masks.
-    return 1 << 19
+# Bytes a counting walk's memo holds at most: 512 KiB for every n, since the
+# walk charges each entry for its own key.  An entry (an int key of b = 1 + s
+# + n * (1 + masks) bits, a count and a dict slot) takes at most about 144 +
+# b // 7 bytes under tracemalloc: 3120 entries of one mask each at 80
+# vertices, about 360 at 1512 vertices, where keys carry about five masks.
+_WALK_MEMO_BYTES = 1 << 19
 
 
 # The last graph or hypergraph a counter was asked about, the size first
@@ -275,15 +262,17 @@ def _profile(x: Graph | Hypergraph, walk: Callable) -> tuple[int, ...]:
     return _memo[2]
 
 
-def _count_k(x: Graph | Hypergraph, k: int, walk: Callable) -> int:
-    """Size-k count of x by the walker of its type, through the memo."""
+def _count_k(x: Graph | Hypergraph, k: int | None, walk: Callable) -> int:
+    """Size-k count of x (k=None: every size) by its type's walker, through the memo."""
     global _memo
-    if not 0 <= k <= x.n:
+    if k is not None and not 0 <= k <= x.n:
         raise ValueError(f"k={k} outside 0..{x.n}")
     last, asked, profile = _memo
     if last is x:
         if profile:
-            return profile[k]
+            return sum(profile) if k is None else profile[k]
+        if k is None:
+            return walk(x, None)  # the counting walk; it fills no profile
         if asked != k:
             return _profile(x, walk)[k]
     _memo = (x, k, ())
@@ -297,12 +286,7 @@ def count_k_mis(g: Graph, k: int) -> int:
 
 def count_all_mis(g: Graph) -> int:
     """Exact number of maximal independent sets of any size."""
-    global _memo
-    if _memo[0] is not g:
-        _memo = (g, None, ())
-    elif _memo[2]:
-        return sum(_memo[2])
-    return enumerate_k_mis(g, None)
+    return _count_k(g, None, enumerate_k_mis)
 
 
 def transversal_mis_list(pg: PartitionedGraph) -> list[int]:

@@ -129,12 +129,14 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> Graph:
-        return cls(n, (0,) * n)
+        check_vertex_count(n)
+        return _made(cls, n=n, adj=(0,) * n)
 
     @classmethod
     def complete(cls, n: int) -> Graph:
+        check_vertex_count(n)
         full = (1 << n) - 1
-        return cls(n, tuple(full ^ (1 << v) for v in range(n)))
+        return _made(cls, n=n, adj=tuple(full ^ (1 << v) for v in range(n)))
 
     @classmethod
     def cycle(cls, n: int) -> Graph:
@@ -387,7 +389,8 @@ def partite_complement(pg: PartitionedGraph) -> PartitionedGraph:
             if g.adj[v] & mask:
                 raise ValueError("intra-part edge; partite complement undefined")
             rows[v] = full & ~g.adj[v] & ~mask
-    return PartitionedGraph(_made(Graph, n=g.n, adj=tuple(rows)), pg.parts)
+    return _made(PartitionedGraph, graph=_made(Graph, n=g.n, adj=tuple(rows)),
+                 parts=pg.parts, _part_masks=pg.part_masks())
 
 
 def disjoint_union(gs: Iterable[Graph]) -> Graph:

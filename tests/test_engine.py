@@ -723,6 +723,11 @@ def test_k_mis_walk_node_count_pinned():
     seen: list[int] = []
     assert rec_calls(lambda: enumerate_k_mis(g, 8, seen.append)) == (1120, 8555)
     assert rec_calls(lambda: count_k_mis(g, 8)) == (1120, 2532)
+    # Without a size target the count cuts are skipped, and the skip cut and
+    # the memo still trim both walks.
+    g = tight_cycle_blowup(6, 3, 2).graph
+    assert rec_calls(lambda: enumerate_k_mis(g, None, lambda s: None)) == (273, 903)
+    assert rec_calls(lambda: enumerate_k_mis(g, None)) == (273, 158)
 
 
 # The tight blowups and disjoint gadget unions that perfbench's blowups
@@ -744,7 +749,7 @@ def test_counting_walk_memo_matches_the_visitor_walk_and_naive(monkeypatch, cap)
     # bytes fills it at its first store and drops it in mid-walk, which must
     # not change a count.
     if cap is not None:
-        monkeypatch.setattr(engine, "_walk_memo_cap", lambda n: cap)
+        monkeypatch.setattr(engine, "_WALK_MEMO_BYTES", cap)
     rng = random.Random(7070)
     for _ in range(40):
         n = rng.randint(0, 16)
@@ -793,7 +798,7 @@ def test_residual_key_counts_match_naive_where_skipped_vertices_are_twins(monkey
     # states.  A budget of 1 or 3 bytes drops the memo at its first store;
     # one of 32000 fills it again and again.
     if cap is not None:
-        monkeypatch.setattr(engine, "_walk_memo_cap", lambda n: cap)
+        monkeypatch.setattr(engine, "_WALK_MEMO_BYTES", cap)
     rng = random.Random(2525)
     sizes = [[1, 6], [3, 4], [5, 5], [2, 11], [6, 7], [2, 3, 4], [1, 1, 5, 6]]
     graphs = [_complete_multipartite(s, rng) for s in sizes]
@@ -830,12 +835,12 @@ def test_a_memo_that_seldom_hits_is_dropped_and_counts_stay(monkeypatch):
     cases = [(random_graph(rng, n, p), k) for n, p, k in [(30, 0.2, 6), (24, 0.3, 5), (28, 0.5, 4)]]
     cases.append((tight_cycle_blowup(8, 4, 2).graph, 8))
     plain = [rec_calls(lambda: enumerate_k_mis(g, k, lambda s: None)) for g, k in cases]
-    monkeypatch.setattr(engine, "_walk_memo_cap", lambda n: 1)
+    monkeypatch.setattr(engine, "_WALK_MEMO_BYTES", 1)
     assert [rec_calls(lambda: enumerate_k_mis(g, k)) for g, k in cases] == plain
     # A memo whose fills hit often is kept and renewed: with a budget of
     # 32000 bytes the tight blowup calls fewer nodes than the visitor walk
     # but more than with the real budget, where it is never renewed.
-    monkeypatch.setattr(engine, "_walk_memo_cap", lambda n: 32000)
+    monkeypatch.setattr(engine, "_WALK_MEMO_BYTES", 32000)
     g = cases[-1][0]
     assert 2532 < rec_calls(lambda: enumerate_k_mis(g, 8))[1] < 8555
 

@@ -85,7 +85,23 @@ def test_graph_builders_give_equal_graphs():
         pg = PartitionedGraph.from_parts(Graph(g.n, adj), parts)
         comp = partite_complement(pg)
         assert_public_twin(comp.graph)
+        public = PartitionedGraph(comp.graph, pg.parts)
+        assert comp == public and vars(comp) == vars(public)
+        assert pickle.dumps(comp) == pickle.dumps(public)
         assert partite_complement(comp) == pg
+
+
+def test_empty_and_complete_graphs_equal_the_public_constructor():
+    for n in (0, 1, 2, 7, MAX_VERTICES):
+        empty, complete = Graph.empty(n), Graph.complete(n)
+        assert empty == Graph.from_edges(n, [])
+        assert complete == Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)])
+        assert_public_twin(empty)
+        assert_public_twin(complete)
+    for build in (Graph.empty, Graph.complete):
+        for n in (-1, MAX_VERTICES + 1):
+            with pytest.raises(ValueError, match=rf"^vertex count {n} outside"):
+                build(n)
 
 
 def test_disjoint_union_past_max_vertices_is_rejected():
