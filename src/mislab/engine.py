@@ -7,11 +7,12 @@ and keeps two bitmasks per branch: the closed neighborhood of the chosen set
 exactly when its closed neighborhood covers every vertex.  The cuts run in
 the parent, before a child is called: a child needs enough candidates left
 for its remaining picks, and every vertex passed over and still undominated
-needs a neighbor among them.  Once a skipped vertex has no neighbor among
-the later candidates, the parent's loop stops.  The last pick of a fixed
-size calls no child: it must cover every undominated vertex, so it lies in
-the closed neighborhood of the lowest one, and each such candidate is
-settled with a single mask compare.
+needs a neighbor among them.  The parent's loop stops once a skipped vertex
+has no neighbor among the candidates after the current pick: the vertex it
+has just passed over, or one that fails the skip cut, since then no later
+first pick can pass it either.  The last pick of a fixed size calls no
+child: it must cover every undominated vertex, so it lies in the closed
+neighborhood of the lowest one, and each is settled with one mask compare.
 
 A walk without a visitor also keeps a memo of subtree counts, keyed by a
 child's residual subproblem: its candidates ``rest``, the picks it has left
@@ -175,6 +176,9 @@ def enumerate_k_mis(
                     u = undom & -undom
                     a = adj[u.bit_length() - 1] & rest
                     if not a:
+                        # Nor does any candidate after v: each later v fails too.
+                        if not adj[u.bit_length() - 1] & cand:
+                            return found
                         break
                     if keyed:
                         masks.append(a)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
@@ -228,6 +229,25 @@ def rec_calls(walk, limit: int = 10**5):
     sys.setprofile(profile)
     try:
         return walk(), nodes
+    finally:
+        sys.setprofile(None)
+
+
+def c_calls(walk):
+    """walk() and a Counter of its builtin calls by qualified name.
+
+    ``int.bit_count`` counts the counters' candidate-loop iterations that
+    reach the count cut, so a lost cut that calls no extra node still shows.
+    """
+    names: Counter[str] = Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            names[arg.__qualname__] += 1
+
+    sys.setprofile(profile)
+    try:
+        return walk(), names
     finally:
         sys.setprofile(None)
 

@@ -39,6 +39,7 @@ from mislab import (
 )
 from naive import (
     CountingLink,
+    c_calls,
     edges,
     hypergraph_is_maximal_independent,
     naive_hyper_count_k_mis,
@@ -704,13 +705,20 @@ def test_counts_match_networkx_clique_enumeration_if_available():
 def test_k4_free_cycle_blowup_counts_pinned(k, want):
     # The deepest searches in the suite, where the parent-side cuts fire most;
     # networkx's maximal cliques of the complement check the pinned values.
+    # The visitor walk must visit them in lexicographic order of their sorted
+    # vertices, wherever its candidate loop stops early: transversal_reduction
+    # seeds its partition from the first set visited.
     g = tight_cycle_blowup(k, 4, 2).graph
     assert count_k_mis(g, k) == want
+    seen: list[int] = []
+    enumerate_k_mis(g, k, seen.append)
     nx = pytest.importorskip("networkx")
     h = nx.Graph(edges(g))
     h.add_nodes_from(range(g.n))
     comp = nx.complement(h)
-    assert sum(len(c) == k for c in nx.find_cliques(comp)) == want
+    cliques = sorted(tuple(sorted(c)) for c in nx.find_cliques(comp) if len(c) == k)
+    assert len(cliques) == want
+    assert [tuple(v for v in range(g.n) if s >> v & 1) for s in seen] == cliques
 
 
 def test_k_mis_walk_node_count_pinned():
@@ -723,6 +731,17 @@ def test_k_mis_walk_node_count_pinned():
     seen: list[int] = []
     assert rec_calls(lambda: enumerate_k_mis(g, 8, seen.append)) == (1120, 8555)
     assert rec_calls(lambda: count_k_mis(g, 8)) == (1120, 2532)
+    # Once a vertex passed over and left undominated has no neighbor among
+    # the candidates after the current first pick, no later first pick can
+    # dominate it and the candidate loop ends.  That drops only iterations
+    # whose children the skip cut rejects: the nodes and the memo's lookups
+    # above stay, and only int.bit_count, called in every iteration that
+    # reaches the count cut, shows the stop.
+    _, builtins = c_calls(lambda: enumerate_k_mis(g, 8, seen.append))
+    assert builtins["int.bit_count"] == 35342
+    _, builtins = c_calls(lambda: count_k_mis(g, 8))
+    assert builtins["int.bit_count"] == 12774
+    assert builtins["_WalkMemo.get"] == 2614
     # Without a size target the count cuts are skipped, and the skip cut and
     # the memo still trim both walks.
     g = tight_cycle_blowup(6, 3, 2).graph
@@ -867,6 +886,18 @@ def test_rs_blowup_at_m2_counts_pinned(monkeypatch):
     assert bw.family_size() == 4096
     assert enumerate_k_mis(g, 6, lambda s: None) == 4864
     assert count_k_mis(g, 6) == 4864
+
+
+def test_rs_blowup_at_m3_counts_pinned(monkeypatch):
+    # The same construction at m=3: 1512 vertices, 617 distinct open
+    # neighbourhoods.  The counting walk alone; its memo is dropped here
+    # (its keys are too large for the budget to hold many).
+    monkeypatch.setattr("mislab.graphs.MAX_VERTICES", 1512)
+    bw = blowup(BlowupSpec(tight_cycle(3, 6), (3,) * 6, "rs"))
+    g = bw.graph
+    assert g.n == 1512 and len(set(g.adj)) == 617
+    assert bw.family_size() == 46656
+    assert count_k_mis(g, 6) == 54432
 
 
 def test_cycle_blowup_counts_clear_family_floor():
