@@ -16,18 +16,17 @@ import sys
 
 from . import __version__
 from .constructions import (
+    GADGETS,
     BlowupSpec,
+    _edge_gadget,
     blowup,
     c4_leaves_graph,
     comatching,
     disjoint_gadget_union,
     dominating_clique_graph,
-    gadget,
-    rs_packing,
     star_hypergraph,
     tight_cycle,
     tight_cycle_blowup,
-    trivial_packing,
     window_hypergraph,
 )
 from .engine import (
@@ -95,10 +94,12 @@ def _parse_range(text: str) -> range:
 # construct ----------------------------------------------------------------
 
 def _gadget(args: argparse.Namespace):
-    if args.packing == "rs":
-        return gadget(rs_packing(args.m))
-    _require(args, "r")
-    return gadget(trivial_packing(args.r, args.m))
+    # An rs packing fixes r = 3; a contradicting --r fails in _edge_gadget.
+    kind = args.packing or "trivial"
+    r = GADGETS[kind][0] if args.r is None else args.r
+    if r is None:
+        _require(args, "r")
+    return _edge_gadget(r, args.m, kind)
 
 
 def _blowup(args: argparse.Namespace):

@@ -116,6 +116,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+        check_vertex_count(n)
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -124,7 +125,6 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        check_vertex_count(n)
         return _made(cls, n=n, adj=tuple(rows))
 
     @classmethod

@@ -295,6 +295,15 @@ def has_3term_ap(values: set[int]) -> bool:
     return False
 
 
+def greedy_ap3_free(m: int) -> set[int]:
+    """First fit over 0..m-1: keep x unless z, y, x is a progression for kept z < y."""
+    kept: set[int] = set()
+    for x in range(m):
+        if all(2 * y - x not in kept for y in kept):
+            kept.add(x)
+    return kept
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)

@@ -54,8 +54,14 @@ def test_gadget_packing_decides_whether_r_is_needed():
     assert (code, err) == (2, "error: construct gadget needs --r\n")
     code, out, err = _construct(["gadget", "--m", "3", "--packing", "rs"])
     assert code == 0 and graph6_decode(out.strip()).n == 18
-    code, out, _ = _construct(["gadget", "--m", "3", "--r", "4", "--packing", "trivial"])
-    assert code == 0 and graph6_decode(out.strip()).n == 12
+    trivial = _construct(["gadget", "--m", "3", "--r", "4", "--packing", "trivial"])
+    assert trivial[0] == 0 and graph6_decode(trivial[1].strip()).n == 12
+    assert _construct(["gadget", "--m", "3", "--r", "4"]) == trivial
+    # rs packings are 3-partite: --r 3 changes nothing, any other --r is refused.
+    rs = _construct(["gadget", "--m", "3", "--packing", "rs"])
+    assert _construct(["gadget", "--m", "3", "--packing", "rs", "--r", "3"]) == rs
+    code, out, err = _construct(["gadget", "--m", "2", "--packing", "rs", "--r", "7"])
+    assert (code, out, err) == (2, "", "error: rs gadgets need 3-uniform edges\n")
 
 
 def test_clique_size_is_read_from_the_table():

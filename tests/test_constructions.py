@@ -44,6 +44,7 @@ from mislab import (
 from mislab.graphs import MAX_VERTICES
 from naive import (
     edges,
+    greedy_ap3_free,
     has_3term_ap,
     hyper_contains_complete,
     hypergraph_is_maximal_independent,
@@ -109,6 +110,16 @@ def test_behrend_sets_are_progression_free():
     assert behrend_set(2) == frozenset({0, 1})
     assert len(behrend_set(10)) == 5
     assert len(behrend_set(64)) >= 8
+
+
+def test_behrend_set_is_the_first_fit_progression_free_set():
+    for m in range(2, 301):
+        assert behrend_set(m) == greedy_ap3_free(m), m
+    assert [len(behrend_set(m)) for m in (10, 21, 100, 1000)] == [5, 8, 24, 105]
+    for m in (801, 2176):
+        assert not has_3term_ap(set(behrend_set(m))), m
+    with pytest.raises(ValueError):
+        behrend_set(1)
 
 
 def test_rs_packing_every_edge_in_exactly_one_triangle():

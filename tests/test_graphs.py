@@ -47,6 +47,13 @@ def test_graph_validation_rejects_bad_input():
         Graph.from_edges(2, [(0, 2)])
 
 
+def test_from_edges_checks_the_vertex_count_before_allocating():
+    # A row list of 2**62 entries cannot be allocated, so this passes only
+    # when the count is rejected first.
+    with pytest.raises(ValueError, match=r"^vertex count 4611686018427387904 outside"):
+        Graph.from_edges(2**62, [])
+
+
 def test_one_sided_adjacency_bit_is_rejected_everywhere():
     # Flip one off-diagonal bit in one row only.  Exactly one pair is then
     # asymmetric, and the error names it with the row that holds the bit last.

@@ -1,8 +1,9 @@
 """Objects built without re-validation equal what the public constructors build.
 
-``graphs._made`` skips ``__post_init__`` for graphs and hypergraphs that are
-valid by construction.  Each such path is run here on seeded inputs, and the
-public constructor must accept its output and give an equal object.
+``graphs._made`` skips ``__post_init__`` for graphs, hypergraphs, partitions
+and packings that are valid by construction.  Each such path is run here on
+seeded inputs, and the public constructor must accept its output and give an
+equal object.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import pytest
 from mislab import (
     Graph,
     Hypergraph,
+    PackingGraph,
     PartitionedGraph,
+    comatching,
     count_k_mis,
     disjoint_gadget_union,
     disjoint_union,
@@ -31,12 +34,13 @@ from mislab import (
     star_hypergraph,
     tight_cycle,
     tight_cycle_blowup,
+    trivial_packing,
     window_hypergraph,
 )
 from mislab.cli import main
 from mislab.graphs import MAX_VERTICES
 from mislab.search import _slots, graph_from_edge_mask
-from naive import random_graph, random_mixed_hypergraph
+from naive import edges, random_graph, random_mixed_hypergraph
 
 
 def assert_public_twin(x: Graph | Hypergraph) -> None:
@@ -136,6 +140,28 @@ def test_constructions_give_equal_objects():
         assert_public_twin(tight_cycle(r, k))
     for n in (4, 5, 9):
         assert_public_twin(star_hypergraph(n))
+
+
+def assert_public_partition(pg: PartitionedGraph) -> PartitionedGraph:
+    """The public constructors, fed pg's edges and parts, build an equal object."""
+    assert_public_twin(pg.graph)
+    public = PartitionedGraph.from_parts(
+        Graph.from_edges(pg.graph.n, edges(pg.graph)), [list(p) for p in pg.parts]
+    )
+    assert pg == public and vars(pg) == vars(public)
+    assert pickle.dumps(pg) == pickle.dumps(public)
+    return public
+
+
+def test_packings_and_comatchings_equal_the_public_constructors():
+    packings = [trivial_packing(r, m) for r in range(2, 5) for m in range(1, 6)]
+    packings += [rs_packing(m) for m in range(2, 22)]
+    for p in packings:
+        public = PackingGraph(assert_public_partition(p.pg), tuple(map(tuple, p.cliques)))
+        assert p == public and vars(p) == vars(public)
+        assert pickle.dumps(p) == pickle.dumps(public)
+    for n in range(2, 17):
+        assert_public_partition(comatching(n))
 
 
 @pytest.mark.parametrize("r", [2, 3])
