@@ -94,12 +94,13 @@ def _parse_range(text: str) -> range:
 # construct ----------------------------------------------------------------
 
 def _gadget(args: argparse.Namespace):
-    # An rs packing fixes r = 3; a contradicting --r fails in _edge_gadget.
     kind = args.packing or "trivial"
-    r = GADGETS[kind][0] if args.r is None else args.r
-    if r is None:
+    fixed = GADGETS[kind][0]
+    if fixed is None:
         _require(args, "r")
-    return _edge_gadget(r, args.m, kind)
+    elif args.r not in (None, fixed):
+        raise CliError(f"--packing {kind} fixes r={fixed}; drop --r {args.r}")
+    return _edge_gadget(fixed or args.r, args.m, kind)
 
 
 def _blowup(args: argparse.Namespace):
@@ -137,6 +138,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         forbid = getattr(args, forbid)
     clique_ok = None
     if isinstance(obj, Hypergraph):
+        if args.format == "graph6":
+            raise CliError(f"--format graph6 needs a graph; construct {args.name} gives JSON")
         summary = f"hypergraph n={obj.n} edges={len(obj.edges)}"
         payload = json.dumps(hypergraph_to_json(obj), sort_keys=True) + "\n"
     else:
@@ -185,6 +188,10 @@ def _load_countable(path: str) -> Graph | Hypergraph:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    if args.parts and not args.transversal:
+        raise CliError("--parts needs --transversal")
+    if args.transversal and args.k is not None:
+        raise CliError("--transversal takes one vertex per part; drop --k")
     obj = _load_countable(args.graph)
     if isinstance(obj, Hypergraph):
         if args.transversal or args.forbid_clique is not None:

@@ -318,15 +318,14 @@ def blowup(spec: BlowupSpec) -> Blowup:
     check_vertex_count(n_total)
 
     choices = [[[0] * len(part) for part in gp.parts] for gp in gadget_pgs]
-    parts = []
-    v = 0
+    cuts = [0]
     for sx, dx in zip(slots, dims):
-        start = v
+        v = cuts[-1]
         for digits in product(*map(range, dx)):
             for (ei, i), a in zip(sx, digits):
                 choices[ei][i][a] |= 1 << v
             v += 1
-        parts.append(tuple(range(start, v)))
+        cuts.append(v)
 
     # Gadget vertex u of edge e stands for the blowup vertices that pick it;
     # each gadget edge joins the two sets.
@@ -348,12 +347,15 @@ def blowup(spec: BlowupSpec) -> Blowup:
         ))
         for gp in gadget_pgs
     )
-    return Blowup(
+    bounds = tuple(zip(cuts, cuts[1:]))
+    return _made(
+        Blowup,
         graph=_made(Graph, n=n_total, adj=tuple(rows)),
-        parts=tuple(parts),
+        parts=tuple(tuple(range(a, b)) for a, b in bounds),
         template=h,
         gadget_mis=gadget_mis,
         choices=tuple(tuple(map(tuple, masks)) for masks in choices),
+        _part_masks=tuple((1 << b) - (1 << a) for a, b in bounds),
     )
 
 

@@ -51,9 +51,9 @@ is or blocks the lowest open vertex w, so it is in ``w | link[w | S]``.
 Without a size target both are off, and a set counts once no unblocked
 candidate is left and it and its blocked mask cover every vertex.
 
-The counters read these tables from the immutable objects, which build each
-once, on first use (``Graph.closed``, ``Hypergraph.rest_masks``, ``link`` and
-``max_sizes``, the guard's two inputs, and ``PartitionedGraph.part_masks``).
+Each walk builds the tables it reads once per call, after the k=0 return:
+closed neighborhoods, or edge rests, the guard's two inputs and, on the link
+path only, the link table, so graphs and hypergraphs hold only their fields.
 
 ``count_k_mis``, ``count_all_mis`` (k=None) and ``hypergraph_count_k_mis``
 go through ``_count_k``, which keeps a one-entry memo across calls: the last
@@ -89,6 +89,8 @@ from .graphs import (
     Hypergraph,
     PartitionedGraph,
     VertexSet,
+    _link,
+    _rest_masks,
     as_mask,
     has_clique,
     induced_subgraph,
@@ -122,7 +124,7 @@ def enumerate_k_mis(
                 visitor(0)
             return 1
         return 0
-    closed = g.closed
+    closed = tuple(row | (1 << v) for v, row in enumerate(adj))
     memo = None
     if visitor is None:
         cap = _WALK_MEMO_BYTES
@@ -298,16 +300,15 @@ def transversal_mis_list(pg: PartitionedGraph) -> list[int]:
 
     Parts are scanned in size-ascending order so sparse parts prune first.
     """
-    g = pg.graph
-    full = g.full_mask()
-    adj, closed = g.adj, g.closed
+    full, adj = pg.graph.full_mask(), pg.graph.adj
     # A part's size is its mask's bit count; the stable sort keeps ties in part order.
     masks = sorted(pg.part_masks(), key=int.bit_count)
     out: list[int] = []
 
-    def rec(depth: int, banned: int, dom: int, chosen: int) -> None:
+    # The chosen set and its neighbors (banned) make its closed neighborhood.
+    def rec(depth: int, banned: int, chosen: int) -> None:
         if depth == len(masks):
-            if dom == full:
+            if banned | chosen == full:
                 out.append(chosen)
             return
         for rest in masks[depth + 1:]:
@@ -317,10 +318,10 @@ def transversal_mis_list(pg: PartitionedGraph) -> list[int]:
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
-            rec(depth + 1, banned | adj[v], dom | closed[v], chosen | low)
+            rec(depth + 1, banned | adj[v], chosen | low)
             cand ^= low
 
-    rec(0, 0, 0, 0)
+    rec(0, 0, 0)
     return out
 
 
@@ -492,14 +493,14 @@ def hypergraph_enumerate_k_mis(
         if visitor is not None and h.n == 0:
             visitor(0)
         return int(h.n == 0)
-    full, rests, found = (1 << h.n) - 1, h.rest_masks, 0
-    widest, most_rests = h.max_sizes
+    full, rests, found = (1 << h.n) - 1, _rest_masks(h), 0
+    widest = max(map(len, h.edges), default=2)
     top = widest - 2
     # partners(v, ...): the vertices completing an edge with bit v and the chosen
     # set.  Without a size target the chosen set may grow to n - 1 before a pick.
     picks = h.n if k is None else k
-    if sum(comb(picks - 1, j) for j in range(1, top + 1)) <= most_rests:
-        get = h.link.get
+    if sum(comb(picks - 1, j) for j in range(1, top + 1)) <= max(map(len, rests)):
+        get = _link(rests).get
         def partners(v: int, chosen: int, subs: list[int]) -> int:
             x = 0
             for s in subs:

@@ -3,13 +3,8 @@
 Vertices are 0..n-1 everywhere.  Vertex sets travel as plain int bitmasks
 (bit v set <=> v is in the set); public predicates also accept any iterable
 of vertex indices and normalize it first.  All objects are immutable after
-construction, so they can be shared freely across worker processes.  They
-cache derived bitmask tables (a graph's closed neighborhoods, a hypergraph's
-per-vertex edge rests, its link table and its largest sizes, a partition's
-part masks) on first use; the cache is not a field, so it never changes
-equality, hashing or the stored structure, and graphs and hypergraphs pickle
-without it.  It takes no lock: the objects are shared between processes, not
-threads, and a race could only build the same table twice.
+construction, so they can be shared freely across worker processes.  Graphs
+and hypergraphs hold only their fields; each walk builds the tables it reads.
 
 Input is checked once, where it enters: ``Graph(n, adj)``, ``from_edges``,
 ``Hypergraph(n, edges)``, ``PartitionedGraph``, graph6 and JSON.  What the
@@ -62,23 +57,6 @@ def as_mask(n: int, s: VertexSet) -> int:
     return m
 
 
-class _cached:
-    """``functools.cached_property`` without its lock: the first read stores
-    the table in the instance ``__dict__``, ahead of this non-data descriptor."""
-
-    def __init__(self, build):
-        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
-
-    def __get__(self, obj, cls=None):
-        return self if obj is None else obj.__dict__.setdefault(self.name, self.build(obj))
-
-
-def _without_caches(obj: object) -> dict:
-    """Pickle state minus the ``_cached`` tables, which rebuild on use."""
-    cls = type(obj)
-    return {k: v for k, v in vars(obj).items() if not isinstance(getattr(cls, k, None), _cached)}
-
-
 def _made(cls: type, **fields: object) -> Any:
     """A ``cls`` from fields valid by construction, without ``__post_init__``."""
     obj = object.__new__(cls)
@@ -92,8 +70,6 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-
-    __getstate__ = _without_caches
 
     def __post_init__(self) -> None:
         check_vertex_count(self.n)
@@ -143,11 +119,6 @@ class Graph:
         if n < 3:
             raise ValueError("cycle needs at least 3 vertices")
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @_cached
-    def closed(self) -> tuple[int, ...]:
-        """Closed neighborhoods: ``closed[v]`` is ``adj[v]`` plus v itself."""
-        return tuple(row | (1 << v) for v, row in enumerate(self.adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -288,8 +259,6 @@ class Hypergraph:
     n: int
     edges: tuple[tuple[int, ...], ...]
 
-    __getstate__ = _without_caches
-
     def __post_init__(self) -> None:
         _check_edges(self.n, self.edges, False)
 
@@ -302,35 +271,30 @@ class Hypergraph:
     def uniform(self, r: int) -> bool:
         return all(len(e) == r for e in self.edges)
 
-    @_cached
-    def rest_masks(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex v, the mask of e minus v for each edge e through v, in edge order."""
-        rests: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            em = 0
-            for v in e:
-                em |= 1 << v
-            for v in e:
-                rests[v].append(em ^ (1 << v))
-        return tuple(map(tuple, rests))
-
-    @_cached
-    def link(self) -> dict[int, int]:
-        """Mask of e minus w -> OR of all such w, over edges e and w in e (read-only)."""
-        link: dict[int, int] = {}
-        for w, rests in enumerate(self.rest_masks):
-            for rest in rests:
-                link[rest] = link.get(rest, 0) | 1 << w
-        return link
-
-    @_cached
-    def max_sizes(self) -> tuple[int, int]:
-        """Largest edge size (2 with no edges) and most edges through one vertex."""
-        return max(map(len, self.edges), default=2), max(map(len, self.rest_masks), default=0)
-
     def incident_edges(self, x: int) -> tuple[int, ...]:
         """Indices of the edges containing vertex x, in edge order."""
         return tuple(i for i, e in enumerate(self.edges) if x in e)
+
+
+def _rest_masks(h: Hypergraph) -> list[list[int]]:
+    """Per vertex v, the mask of e minus v for each edge e through v, in edge order."""
+    rests: list[list[int]] = [[] for _ in range(h.n)]
+    for e in h.edges:
+        em = 0
+        for v in e:
+            em |= 1 << v
+        for v in e:
+            rests[v].append(em ^ (1 << v))
+    return rests
+
+
+def _link(rests: list[list[int]]) -> dict[int, int]:
+    """Mask of e minus w -> OR of all such w, over edges e and w in e, from ``_rest_masks``."""
+    link: dict[int, int] = {}
+    for w, masks in enumerate(rests):
+        for rest in masks:
+            link[rest] = link.get(rest, 0) | 1 << w
+    return link
 
 
 @dataclass(frozen=True)
@@ -355,7 +319,7 @@ class PartitionedGraph:
             masks.append(m)
         if seen != self.graph.full_mask():
             raise ValueError("parts do not cover the vertex set")
-        # Kept outside the fields, like a _cached table, for part_masks().
+        # Kept outside the fields, so it changes no comparison, for part_masks().
         object.__setattr__(self, "_part_masks", tuple(masks))
 
     @classmethod

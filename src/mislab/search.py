@@ -48,7 +48,7 @@ from itertools import combinations, count, permutations, product
 from math import comb
 
 from .formats import graph6_encode
-from .graphs import Graph, Hypergraph
+from .graphs import Graph, Hypergraph, _link, _rest_masks
 
 # Edge-mask bits per scan: the 2^28 masks of the n=8 graph census, which
 # also admits 3-graphs up to n=6 (20 bits).
@@ -510,7 +510,7 @@ def canonical_form(obj: Graph | Hypergraph) -> bytes:
         r = len(obj.edges[0]) if obj.edges else 2
         if not obj.uniform(r):
             raise ValueError("canonical form needs a uniform hypergraph")
-        link = obj.link
+        link = _link(_rest_masks(obj))
     best: tuple[int, ...] | None = None
     best_order: tuple[int, ...] = ()
     autos: list[list[int]] = []

@@ -200,14 +200,28 @@ def hypergraph_is_maximal_independent(h: Hypergraph, s) -> bool:
 
 
 class CountingLink(dict):
-    """A hypergraph link table that counts its lookups.  Put in place with
-    ``vars(h)["link"] = CountingLink(h.link)``, it shows whether a count read it."""
+    """A hypergraph link table that counts its lookups; ``counting_links``
+    makes the counter build these, to show whether a count read one."""
 
     reads = 0
 
     def get(self, key, default=None):
         self.reads += 1
         return super().get(key, default)
+
+
+def counting_links(set_attr) -> list[CountingLink]:
+    """Make the hypergraph counter build each link table as a CountingLink,
+    and return the list it appends them to.  ``set_attr`` is
+    ``monkeypatch.setattr``, or plain ``setattr`` in a child process."""
+    build, built = engine._link, []
+
+    def counted(rests):
+        built.append(CountingLink(build(rests)))
+        return built[-1]
+
+    set_attr(engine, "_link", counted)
+    return built
 
 
 def rec_calls(walk, limit: int = 10**5):

@@ -146,6 +146,35 @@ def test_count_transversal(capsys, tmp_path):
     assert code == 0 and out.strip() == "4"
 
 
+def test_count_refuses_flags_it_would_ignore(capsys, tmp_path):
+    # --parts only feeds --transversal, and a transversal MIS has one vertex
+    # per part, so neither is silently dropped.
+    gpath = tmp_path / "p4.g6"
+    gpath.write_bytes(graph6_encode(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])) + b"\n")
+    ppath = tmp_path / "parts.json"
+    ppath.write_text(json.dumps([[0, 2], [1, 3]]))
+    graph, parts = ["count", "--graph", str(gpath)], ["--parts", str(ppath)]
+    cases = [
+        (graph + parts, "--parts needs --transversal"),
+        (graph + ["--transversal"] + parts + ["--k", "3"],
+         "--transversal takes one vertex per part; drop --k"),
+    ]
+    for argv, message in cases:
+        assert run(argv, capsys) == (2, "", f"error: {message}\n"), argv
+    assert run(graph + ["--transversal"] + parts, capsys)[:2] == (0, "1\n")  # {0, 3}
+
+
+def test_construct_hypergraph_rejects_graph6_format(capsys):
+    # Hypergraphs are edge-list JSON, which is not graph6; text keeps JSON.
+    argv = ["construct", "hyper", "--r", "3", "--k", "3", "--n", "6"]
+    assert run(argv + ["--format", "graph6"], capsys) == (
+        2, "", "error: --format graph6 needs a graph; construct hyper gives JSON\n")
+    code, out, _ = run(argv + ["--format", "text"], capsys)
+    assert code == 0 and json.loads(out)["n"] == 6
+    code, out, _ = run(["construct", "comatching", "--n", "6", "--format", "graph6"], capsys)
+    assert code == 0 and graph6_decode(out.strip()).n == 6
+
+
 def test_count_transversal_malformed_parts_exits_2(capsys, tmp_path):
     gpath = tmp_path / "g.g6"
     run(["construct", "comatching", "--n", "8", "--out", str(gpath)], capsys)

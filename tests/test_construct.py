@@ -49,7 +49,7 @@ def test_each_id_without_flags_names_its_flags():
             assert (code, out, err) == (2, "", f"error: construct {name} needs {flags}\n")
 
 
-def test_gadget_packing_decides_whether_r_is_needed():
+def test_gadget_packing_decides_whether_r_is_needed(tmp_path):
     code, _, err = _construct(["gadget", "--m", "3"])
     assert (code, err) == (2, "error: construct gadget needs --r\n")
     code, out, err = _construct(["gadget", "--m", "3", "--packing", "rs"])
@@ -57,10 +57,17 @@ def test_gadget_packing_decides_whether_r_is_needed():
     trivial = _construct(["gadget", "--m", "3", "--r", "4", "--packing", "trivial"])
     assert trivial[0] == 0 and graph6_decode(trivial[1].strip()).n == 12
     assert _construct(["gadget", "--m", "3", "--r", "4"]) == trivial
-    # rs packings are 3-partite: --r 3 changes nothing, any other --r is refused.
+    # rs packings are 3-partite: --r 3 changes nothing, any other --r is
+    # refused with a message that names both flags.
     rs = _construct(["gadget", "--m", "3", "--packing", "rs"])
     assert _construct(["gadget", "--m", "3", "--packing", "rs", "--r", "3"]) == rs
-    code, out, err = _construct(["gadget", "--m", "2", "--packing", "rs", "--r", "7"])
+    for r in ("7", "2"):
+        code, out, err = _construct(["gadget", "--m", "2", "--packing", "rs", "--r", r])
+        assert (code, out, err) == (2, "", f"error: --packing rs fixes r=3; drop --r {r}\n")
+    # A blowup spec names no flag: its message speaks of the template's edges.
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"template": {"n": 3, "edges": [[0, 1]]}, "sizes": [2], "gadget": "rs"}')
+    code, out, err = _construct(["blowup", "--spec", str(spec)])
     assert (code, out, err) == (2, "", "error: rs gadgets need 3-uniform edges\n")
 
 

@@ -38,8 +38,8 @@ from mislab import (
     window_hypergraph,
 )
 from naive import (
-    CountingLink,
     c_calls,
+    counting_links,
     edges,
     hypergraph_is_maximal_independent,
     naive_hyper_count_k_mis,
@@ -487,7 +487,7 @@ def test_hypergraph_counts_match_naive_oracle():
             assert hypergraph_count_k_mis(h, k) == naive_hyper_count_k_mis(h, k)
 
 
-def test_hypergraph_counter_matches_naive_on_mixed_edge_sizes():
+def test_hypergraph_counter_matches_naive_on_mixed_edge_sizes(monkeypatch):
     # The naive list is in the order of the plain increasing-vertex walk that
     # checks maximality only at the leaves; the pruned walk must keep it.
     # The counter finds a pick's partners by a walk over the chosen subsets
@@ -509,16 +509,17 @@ def test_hypergraph_counter_matches_naive_on_mixed_edge_sizes():
     dense = [
         random_hypergraph3(rng, rng.randint(6, 10), 0.5 + rng.random() / 2) for _ in range(20)
     ]
+    links = counting_links(monkeypatch.setattr)
     sides = {True: 0, False: 0}
     for h in family + dense:
-        link = vars(h)["link"] = CountingLink(h.link)
         for k in range(h.n + 1):
-            reads = link.reads
+            links.clear()
             seen: list[int] = []
             assert hypergraph_enumerate_k_mis(h, k, seen.append) == len(seen)
+            reads = sum(link.reads for link in links)
             if k >= 2:
-                sides[link.reads > reads] += 1
-                assert link.reads > reads or h not in dense, (h, k)
+                sides[reads > 0] += 1
+                assert reads > 0 or h not in dense, (h, k)
             assert hypergraph_count_k_mis(h, k) == len(seen)
             assert all(hypergraph_is_maximal_independent(h, s) for s in seen)
             assert seen == naive_hyper_mis_list(h, k), (h, k)
@@ -551,21 +552,19 @@ def test_two_uniform_hypergraph_counts_like_its_graph():
         assert seen_h == seen_g and len(seen_h) == count_all_mis(g)
 
 
-def test_window_hypergraph_regression_values():
+def test_window_hypergraph_regression_values(monkeypatch):
+    links = counting_links(monkeypatch.setattr)
     assert hypergraph_count_k_mis(window_hypergraph(4, 4, 20), 4) == 625
     assert hypergraph_count_k_mis(window_hypergraph(4, 5, 20), 5) == 1024
-    for k in (4, 5):  # both counts take the link walk
-        h = window_hypergraph(4, k, 20)
-        vars(h)["link"] = CountingLink(h.link)
-        hypergraph_count_k_mis(h, k)
-        assert h.link.reads > 0
+    # Both counts take the link walk, each building its table once.
+    assert len(links) == 2 and all(link.reads > 0 for link in links)
 
 
 def test_wide_edges_take_the_rest_scan():
     # Six edges of 8..12 vertices and four 2-edges on 22 vertices: at k=20 a
     # walk over the chosen subsets would carry 169,765 to 354,521 of them to
     # the last pick, against at most 10 edges per vertex, so the counter must
-    # scan edge rests here and never read the link table.  That counts the
+    # scan edge rests here and never build the link table.  That counts the
     # family in under a second; a walk shows as a timeout.  The total was
     # taken before the walk existed.
     import subprocess
@@ -575,8 +574,9 @@ def test_wide_edges_take_the_rest_scan():
     code = (
         "import random\n"
         "from mislab import Hypergraph, hypergraph_count_k_mis\n"
-        "from naive import CountingLink\n"
-        "total = reads = 0\n"
+        "from naive import counting_links\n"
+        "links = counting_links(setattr)\n"
+        "total = 0\n"
         "for seed in range(20):\n"
         "    rng = random.Random(seed)\n"
         "    edges = set()\n"
@@ -585,10 +585,8 @@ def test_wide_edges_take_the_rest_scan():
         "    while len(edges) < 10:\n"
         "        edges.add(tuple(sorted(rng.sample(range(22), 2))))\n"
         "    h = Hypergraph(22, tuple(sorted(edges)))\n"
-        "    link = vars(h)['link'] = CountingLink(h.link)\n"
         "    total += sum(hypergraph_count_k_mis(h, k) for k in range(14, 21))\n"
-        "    reads += link.reads\n"
-        "print(total, reads)\n"
+        "print(total, len(links))\n"
     )
     src = os.path.dirname(os.path.dirname(mislab.__file__))
     path = os.pathsep.join([src, os.path.dirname(__file__)])
@@ -609,10 +607,12 @@ def _hyper_family(seed: int) -> list[Hypergraph]:
     return family
 
 
-def test_hypergraph_every_size_walk_visits_in_order_on_both_updates():
+def test_hypergraph_every_size_walk_visits_in_order_on_both_updates(monkeypatch):
     # k=None visits every MIS in lexicographic order of its sorted vertices.
-    # A scratch copy with a forged guard input forces each partner update: a
-    # huge edge count through one vertex takes the link walk, -1 the scan.
+    # A patched comb forces each partner update: a guard sum of 0 takes the
+    # link walk, a huge one the scan.  Without edges of 3 or more vertices
+    # the guard sums no terms, so such an h always takes the link walk.
+    links = counting_links(monkeypatch.setattr)
     for h in _hyper_family(808):
         every: list[int] = []
         for k in range(h.n + 1):
@@ -621,15 +621,15 @@ def test_hypergraph_every_size_walk_visits_in_order_on_both_updates():
         seen: list[int] = []
         assert hypergraph_enumerate_k_mis(h, None, seen.append) == len(want)
         assert seen == want, h
-        widest = h.max_sizes[0]
-        for most, walks in ((10**9, True), (-1, False)):
-            copy = Hypergraph(h.n, h.edges)
-            vars(copy)["max_sizes"] = (widest, most)
-            link = vars(copy)["link"] = CountingLink(h.link)
-            seen = []
-            assert hypergraph_enumerate_k_mis(copy, None, seen.append) == len(want)
+        wide = any(len(e) > 2 for e in h.edges)
+        for term, walks in ((0, True), (10**9, not wide)):
+            links.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "comb", lambda n, j: term)
+                seen = []
+                assert hypergraph_enumerate_k_mis(h, None, seen.append) == len(want)
             assert seen == want, (h, walks)
-            assert (link.reads > 0) == walks or h.n < 2, (h, walks)
+            assert any(link.reads for link in links) == walks or h.n < 2, (h, walks)
 
 
 def test_hypergraph_memoised_profile_counts_match_naive_in_every_order():

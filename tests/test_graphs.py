@@ -13,6 +13,7 @@ from mislab import (
     Hypergraph,
     PartitionedGraph,
     comatching,
+    count_all_mis,
     count_k_mis,
     count_transversal_mis,
     disjoint_union,
@@ -23,6 +24,7 @@ from mislab import (
     tight_cycle,
     tight_cycle_blowup,
 )
+from mislab.graphs import _link, _rest_masks
 from naive import (
     edges,
     hypergraph_is_maximal_independent,
@@ -230,83 +232,70 @@ def test_partitioned_graph_validation():
             PartitionedGraph.from_parts(g, malformed)
 
 
-def test_graph_closed_table_matches_definition_and_is_cached():
+def test_counted_graph_holds_only_its_fields():
+    # Each counting walk builds the tables it reads, so a counted graph stays
+    # equal, hash-equal and repr-equal to a fresh one.
     rng = random.Random(2024)
     for _ in range(120):
         n = rng.randint(0, 14)
         g = random_graph(rng, n, rng.random())
-        edge_set = set(edges(g))
-        want = tuple(
-            sum(1 << u for u in range(n) if u == v or (min(u, v), max(u, v)) in edge_set)
-            for v in range(n)
-        )
-        closed = g.closed
-        assert closed == want
-        for k in range(min(n, 3) + 1):
-            count_k_mis(g, k)
-        assert g.closed is closed
+        counts = [count_k_mis(g, k) for k in range(min(n, 3) + 1)]
+        count_all_mis(g)
+        assert vars(g).keys() == {"n", "adj"}
         fresh = Graph(g.n, g.adj)
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
         assert {g: 1}[fresh] == 1
         back = pickle.loads(pickle.dumps(g))
-        assert back == g and hash(back) == hash(g) and back.closed == want
+        assert back == g and hash(back) == hash(g)
+        assert [count_k_mis(back, k) for k in range(min(n, 3) + 1)] == counts
 
 
-def test_hypergraph_rest_masks_match_definition_and_are_cached():
+def test_hypergraph_rest_masks_and_link_match_definition():
     rng = random.Random(2025)
     for _ in range(120):
         n = rng.randint(0, 10)
         h = random_mixed_hypergraph(rng, n, rng.randint(0, 12))
-        want = tuple(
-            tuple(sum(1 << u for u in e if u != v) for e in h.edges if v in e)
-            for v in range(n)
-        )
-        rests = h.rest_masks
+        want = [[sum(1 << u for u in e if u != v) for e in h.edges if v in e] for v in range(n)]
+        rests = _rest_masks(h)
         assert rests == want
+        # The link maps an edge minus one vertex to every vertex completing it.
+        edge_sets = {frozenset(e) for e in h.edges}
+        link = _link(rests)
+        assert link.keys() == {r for rs in want for r in rs}
+        for rest, row in link.items():
+            inside = {u for u in range(n) if rest >> u & 1}
+            outside = [w for w in range(n) if w not in inside]
+            assert row == sum(1 << w for w in outside if inside | {w} in edge_sets)
         for k in range(min(n, 3) + 1):
             hypergraph_count_k_mis(h, k)
-        assert h.rest_masks is rests
-        assert h.max_sizes == (max(map(len, h.edges), default=2), max(map(len, want), default=0))
+        assert vars(h).keys() == {"n", "edges"}
         fresh = Hypergraph(h.n, h.edges)
         assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
-        back = pickle.loads(pickle.dumps(h))
-        assert back == h and back.rest_masks == want
 
 
-def test_pickle_drops_cached_tables():
-    # A count fills the cached tables; they must not travel in the pickle.
+def test_counted_objects_pickle_as_fresh_ones():
+    # A count stores nothing on the object, so it pickles to a fresh object's
+    # bytes and counts the same after the round trip.
     rng = random.Random(2027)
     graphs = [Graph.cycle(12)]
     graphs += [random_graph(rng, rng.randint(1, 12), rng.random()) for _ in range(30)]
     for g in graphs:
         fresh = pickle.dumps(Graph(g.n, g.adj))
         counts = [count_k_mis(g, k) for k in range(g.n + 1)]
-        assert "closed" in vars(g)
         blob = pickle.dumps(g)
-        assert len(blob) == len(fresh) and "closed" not in vars(pickle.loads(blob))
+        assert blob == fresh
         back = pickle.loads(blob)
         assert back == g and hash(back) == hash(g)
         assert [count_k_mis(back, k) for k in range(g.n + 1)] == counts
-    tables = {"rest_masks", "link", "max_sizes"}
     for _ in range(30):
         h = random_mixed_hypergraph(rng, rng.randint(0, 10), rng.randint(0, 12))
         fresh = pickle.dumps(Hypergraph(h.n, h.edges))
         counts = [hypergraph_count_k_mis(h, k) for k in range(min(h.n, 3) + 1)]
-        # Which tables a count reads depends on the walk it takes (the rest
-        # scan never reads the link table, and nothing is read on no
-        # vertices), so all three are built by hand before pickling.
-        if h.n == 0:
-            assert not tables & vars(h).keys()
-            assert h.link == {} and h.max_sizes == (2, 0)
-        h.rest_masks, h.link, h.max_sizes
-        assert tables <= vars(h).keys()
         blob = pickle.dumps(h)
-        assert len(blob) == len(fresh)
-        assert not tables & vars(pickle.loads(blob)).keys()
+        assert blob == fresh
         back = pickle.loads(blob)
         assert back == h and hash(back) == hash(h)
         assert [hypergraph_count_k_mis(back, k) for k in range(min(h.n, 3) + 1)] == counts
-        assert back.link == h.link and back.max_sizes == h.max_sizes
 
 
 def test_part_masks_match_parts_and_are_kept():

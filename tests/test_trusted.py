@@ -1,9 +1,9 @@
 """Objects built without re-validation equal what the public constructors build.
 
-``graphs._made`` skips ``__post_init__`` for graphs, hypergraphs, partitions
-and packings that are valid by construction.  Each such path is run here on
-seeded inputs, and the public constructor must accept its output and give an
-equal object.
+``graphs._made`` skips ``__post_init__`` for graphs, hypergraphs, partitions,
+packings and blowups that are valid by construction.  Each such path is run
+here on seeded inputs, and the public constructor must accept its output and
+give an equal object.
 """
 
 from __future__ import annotations
@@ -16,12 +16,18 @@ import random
 import pytest
 
 from mislab import (
+    Blowup,
+    BlowupSpec,
     Graph,
     Hypergraph,
     PackingGraph,
     PartitionedGraph,
+    blowup,
+    canonical_form,
     comatching,
+    count_all_mis,
     count_k_mis,
+    count_transversal_mis,
     disjoint_gadget_union,
     disjoint_union,
     gadget,
@@ -39,8 +45,8 @@ from mislab import (
 )
 from mislab.cli import main
 from mislab.graphs import MAX_VERTICES
-from mislab.search import _slots, graph_from_edge_mask
-from naive import edges, random_graph, random_mixed_hypergraph
+from mislab.search import CANONICAL_CAP, _slots, graph_from_edge_mask
+from naive import edges, random_graph, random_hypergraph3, random_mixed_hypergraph
 
 
 def assert_public_twin(x: Graph | Hypergraph) -> None:
@@ -123,11 +129,32 @@ RS = [20, 16, 12, 8]
 WINDOW = [(4, 5, 20), (4, 4, 20)]
 
 
+# Blowups of small spec templates, each gadget kind at least once.
+SPECS = [
+    (tight_cycle(2, 5), (2,) * 5, "auto"),
+    (Hypergraph.from_edges(4, [(0, 1, 2), (1, 2, 3)]), (2, 2), "rs"),
+    (tight_cycle(3, 6), (2, 3, 2, 3, 2, 3), "trivial"),
+    (tight_cycle(2, 6), (3, 2, 3, 2, 3, 2), "comatching"),
+    (Hypergraph.from_edges(5, [(0, 1, 2), (2, 3), (3, 4), (0, 4)]), (2, 3, 2, 2), "auto"),
+    (Hypergraph.from_edges(2, []), (), "auto"),
+]
+
+
+def assert_public_blowup(bw: Blowup) -> None:
+    """The public Blowup constructor, fed bw's fields, builds an equal object."""
+    assert_public_twin(bw.graph)
+    assert_public_twin(bw.template)
+    fields = {f.name: getattr(bw, f.name) for f in dataclasses.fields(Blowup)}
+    public = Blowup(**{**fields, "graph": Graph(bw.graph.n, bw.graph.adj)})
+    assert bw == public and vars(bw) == vars(public)
+    assert pickle.dumps(bw) == pickle.dumps(public)
+
+
 def test_constructions_give_equal_objects():
     for k, t, m in TIGHT:
-        bw = tight_cycle_blowup(k, t, m)
-        assert_public_twin(bw.graph)
-        assert_public_twin(bw.template)
+        assert_public_blowup(tight_cycle_blowup(k, t, m))
+    for spec in SPECS:
+        assert_public_blowup(blowup(BlowupSpec(*spec)))
     for k, t, m in UNION:
         assert_public_twin(disjoint_gadget_union(k, t, m))
     for m in RS:
@@ -203,29 +230,29 @@ def test_hypergraph_from_edges_sorts_once_and_checks_the_vertex_count():
         Hypergraph.from_edges(MAX_VERTICES + 1, [])
 
 
-def test_cached_tables_are_built_once_and_are_not_fields():
+def test_counting_leaves_only_the_fields():
+    # Each walk builds the tables it reads, so after every counter and
+    # canonical_form an object still holds only its fields and stays the
+    # public constructor's twin.
     rng = random.Random(8401)
-    for g in _random_graphs(8402, 30):
-        public = Graph(g.n, g.adj)
+    for g in _random_graphs(8402, 30, largest=CANONICAL_CAP):
         made = graph6_decode(graph6_encode(g))
-        for x in (public, made):
-            closed = x.closed
-            assert x.closed is closed and vars(x)["closed"] is closed
-        assert public.closed == made.closed
-        assert "closed" not in {f.name for f in dataclasses.fields(Graph)}
-        # A filled cache changes no comparison, hash or repr.
         fresh = Graph(g.n, g.adj)
-        assert made == fresh and hash(made) == hash(fresh) and repr(made) == repr(fresh)
-        assert [count_k_mis(made, k) for k in range(g.n + 1)] == [
-            count_k_mis(fresh, k) for k in range(g.n + 1)
-        ]
+        want = [count_k_mis(g, k) for k in range(g.n + 1)], count_all_mis(g)
+        for x in (made, fresh):
+            assert ([count_k_mis(x, k) for k in range(g.n + 1)], count_all_mis(x)) == want
+            count_transversal_mis(PartitionedGraph.from_parts(x, [[v] for v in range(g.n)]))
+            assert canonical_form(x) == canonical_form(g)
+            assert_public_twin(x)
     for _ in range(30):
         h = random_mixed_hypergraph(rng, rng.randint(0, 9), rng.randint(0, 10))
         made = Hypergraph.from_edges(h.n, [list(reversed(e)) for e in h.edges])
-        for name in ("rest_masks", "link", "max_sizes"):
-            table = getattr(made, name)
-            assert getattr(made, name) is table and getattr(h, name) == table
         fresh = Hypergraph(h.n, h.edges)
-        assert made == fresh and hash(made) == hash(fresh) and repr(made) == repr(fresh)
         k = min(h.n, 2)
         assert hypergraph_count_k_mis(made, k) == hypergraph_count_k_mis(fresh, k)
+        assert_public_twin(made)
+        assert_public_twin(fresh)
+    for n in range(CANONICAL_CAP + 1):
+        h = random_hypergraph3(rng, n, rng.random())
+        canonical_form(h)
+        assert_public_twin(h)
