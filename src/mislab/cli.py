@@ -82,10 +82,13 @@ def _report_json(args: argparse.Namespace, command: str, result: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_range(text: str) -> range:
-    """Parse '4..7' or a single integer into an inclusive range."""
+def _parse_range(flag: str, text: str) -> range:
+    """Parse the value of ``flag``, '4..7' or a single integer, into an inclusive range."""
     lo, sep, hi = text.partition("..")
-    lo, hi = int(lo), int(hi if sep else lo)
+    try:
+        lo, hi = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise ValueError(f"{flag}: expected N or LO..HI, got {text!r}") from None
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
@@ -260,9 +263,9 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     rows = verify_theorem(
         args.theorem,
-        n_range=_parse_range(args.n),
-        k_range=_parse_range(args.k) if args.k else None,
-        t_range=_parse_range(args.t) if args.t else None,
+        n_range=_parse_range("--n", args.n),
+        k_range=_parse_range("--k", args.k) if args.k else None,
+        t_range=_parse_range("--t", args.t) if args.t else None,
         workers=args.threads,
     )
     ok = all(r.match for r in rows)

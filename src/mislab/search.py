@@ -2,10 +2,10 @@
 
 One scan serves graphs (r=2) and 3-uniform hypergraphs (r=3).  Bit b of an
 edge mask is the b-th r-subset of the n labeled vertices (a slot), and the
-scan walks every edge mask in aligned chunks of 2^w masks.  Since
-``itertools.combinations`` emits the slots inside the last few vertices at
-the end of the slot order, a chunk's high bits fix the induced subgraph
-there, and its masks are that fixed prefix plus every w-bit low pattern.
+scan walks every edge mask in aligned chunks of 2^w masks.  Past 2^16 masks
+the w low bits are the slots meeting vertex 0 or 1, which come first in
+``itertools.combinations`` order, so a chunk's high bits fix the r-graph on
+vertices 2..n-1, and its masks are that prefix plus every w-bit low pattern.
 The per-(n, r, t, w) clique filter, cached per process, sorts each forbidden
 complete r-graph on t vertices by where its slots fall: wholly in the high
 bits (a chunk whose prefix holds it is skipped before any other work),
@@ -23,10 +23,10 @@ antichain, so by Sperner's theorem there are at most C(n, n // 2).  numpy
 is imported only inside the scan.
 
 Vertex relabellings that keep every low slot low map chunks onto chunks and
-keep each graph's MIS count and clique-freeness, so only the least chunk of
-each orbit is scanned for the value (as orderly generation keeps only
-orbit-least objects); ``graphs_scanned`` still counts every mask.  The
-caller scans one share of those chunks and a forked child each other share.
+keep each graph's MIS count and clique-freeness, so, as in orderly
+generation, only the least chunk of each orbit (one per class of r-graphs on
+vertices 2..n-1) is scanned; ``graphs_scanned`` still counts every mask.
+The caller scans one share of them and a forked child each other share.
 With witnesses, each chunk returns its low patterns at its best, and each
 process keeps those of its chunks at its own running best: the orbit-least
 chunks at the overall best hold the least labelled copy of every class at
@@ -44,7 +44,7 @@ import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, count, permutations, product
+from itertools import combinations, count, product
 from math import comb
 
 from .formats import graph6_encode
@@ -54,7 +54,7 @@ from .graphs import Graph, Hypergraph, _link, _rest_masks
 # also admits 3-graphs up to n=6 (20 bits).
 SCAN_BITS_CAP = 28
 CANONICAL_CAP = 10
-_CHUNK_EDGE_BITS = 16  # chunks of 2^16 masks at n=8; single chunk below that
+_CHUNK_EDGE_BITS = 16  # a scan of at most 2^16 masks is a single chunk
 
 
 @dataclass(frozen=True)
@@ -275,54 +275,51 @@ def _check_spec(spec: SearchSpec) -> None:
         raise ValueError(f"witness cap must be >= 1, got {spec.witness_cap}")
 
 
-@lru_cache(maxsize=None)
-def _stabiliser(n: int, r: int, width: int) -> tuple[tuple[int, ...], ...]:
-    """Vertex permutations that keep every low slot (bit < ``width``) low.
+def _chunk_width(n: int, r: int) -> int:
+    """The scan's low bits: every slot up to 2^16 masks, else the slots meeting vertex 0 or 1."""
+    bits = comb(n, r)
+    return bits if bits <= _CHUNK_EDGE_BITS else bits - comb(n - 2, r)
 
-    Each maps a whole chunk of 2^width masks onto a whole chunk.  The
-    transpositions that keep the low slots low join the vertices into
-    blocks, and their products are every permutation of each block: the
-    group returned, identity first.  At n=8 and width 16 the blocks are
-    {0, 1}, {3, 4, 5} and {6, 7}, 24 permutations in all.
+
+def _low_swaps(n: int, r: int, width: int) -> list[tuple[int, int]]:
+    """The swaps (i, j) of each vertex i with the next vertex j of its block.
+
+    The label swaps that keep every low slot (bit < ``width``) low join the
+    vertices into blocks, and the relabellings that do are the permutations
+    of each block, which these swaps generate: at the vertex cut the blocks
+    are {0, 1} and {2, ..., n-1}, 1440 relabellings at n=8.
     """
     low = set(list(combinations(range(n), r))[:width])
-    block = list(range(n))
-    for i, j in combinations(range(n), 2):
-        swap = {i: j, j: i}
-        if all(tuple(sorted(swap.get(v, v) for v in s)) in low for s in low):
-            block = [block[i] if b == block[j] else b for b in block]
-    blocks = [[v for v in range(n) if block[v] == b] for b in sorted(set(block))]
-    group = []
-    for images in product(*(permutations(b) for b in blocks)):
-        perm = [0] * n
-        for b, image in zip(blocks, images):
-            for v, w in zip(b, image):
-                perm[v] = w
-        group.append(tuple(perm))
-    return tuple(group)
+    swaps = [(i, j) for i, j in combinations(range(n), 2) if all(
+        tuple(sorted(j if v == i else i if v == j else v for v in s)) in low for s in low)]
+    return sorted({i: j for i, j in reversed(swaps)}.items())  # each i's least partner
 
 
 @lru_cache(maxsize=None)
 def _orbit_least(n: int, r: int, width: int) -> tuple[int, ...]:
-    """Each chunk's orbit-least chunk under ``_stabiliser``, by chunk index.
+    """The chunks least in their orbit under ``_low_swaps``, ascending, by index.
 
-    A chunk's index is its fixed prefix shifted down by ``width``.  A vertex
-    relabelling keeps every graph's MIS count and K_t-freeness, so a chunk
-    reaches the same best as its orbit-least chunk.
+    A chunk's index is its fixed prefix shifted down by ``width``.  A swap
+    maps each chunk onto one chunk, so minima spread along the swaps until
+    nothing changes.  A relabelling keeps every graph's MIS count and
+    K_t-freeness, so a chunk reaches the same best as its orbit-least chunk.
     """
     import numpy as np
     slots = list(combinations(range(n), r))
-    index = {s: b for b, s in enumerate(slots)}
-    chunks = np.arange(1 << (len(slots) - width), dtype=np.int64)
-    least = chunks.copy()
-    image = np.empty_like(chunks)
-    for perm in _stabiliser(n, r, width)[1:] if len(chunks) > 1 else ():
-        image[:] = 0
-        for j, s in enumerate(slots[width:]):
-            to = index[tuple(sorted(perm[v] for v in s))] - width
-            image |= (chunks >> j & 1) << to
-        np.minimum(least, image, out=least)
-    return tuple(least.tolist())
+    chunks = np.arange(1 << len(slots) - width)
+    chunks = chunks.astype(np.min_scalar_type(chunks[-1]))
+    images = []
+    for i, j in _low_swaps(n, r, width):
+        images.append(np.zeros_like(chunks))
+        for b, s in enumerate(slots[width:]):
+            to = slots.index(tuple(sorted(j if v == i else i if v == j else v for v in s))) - width
+            images[-1] |= (chunks >> b & 1) << to
+    least, before = chunks.copy(), None
+    while before is None or not np.array_equal(least, before):
+        before = least.copy()
+        for image in images:
+            np.minimum(least, least[image], out=least)
+    return tuple(np.flatnonzero(least == chunks).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -454,28 +451,28 @@ def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
     """Exact maximum MIS count over all (filtered) labeled r-graphs on n vertices.
 
     Refuses scans beyond ``SCAN_BITS_CAP`` edge bits rather than running
-    forever, and worker counts below 1.  Only the orbit-least chunk of each
-    ``_stabiliser`` orbit is scanned, by ``workers`` processes capped by those
+    forever, and worker counts below 1.  Only the ``_orbit_least`` chunks
+    at ``_chunk_width`` are scanned, by ``workers`` processes capped by those
     chunks and the CPUs (one where ``os.fork`` is missing); ``graphs_scanned``
     still counts every mask, as the other chunks are relabelled copies.
 
     Witnesses, when requested, follow the contract in ``SearchReport``.  The
-    least copy M of a class at the best lies in an orbit-least chunk: each g
-    in ``_stabiliser`` maps M to a copy g(M) >= M and M's chunk onto g(M)'s,
-    so no chunk in the orbit of M's chunk is smaller.  So each process keeps
-    the hits of its orbit-least chunks at its running best, and the
+    least copy M of a class at the best lies in an orbit-least chunk: each
+    relabelling g of the group maps M to a copy g(M) >= M and M's chunk onto
+    g(M)'s, so no chunk in the orbit of M's chunk is smaller.  So each process
+    keeps the hits of its orbit-least chunks at its running best, and the
     deduplication reads those at the overall best in ascending order and
-    stops at the first class past the cap.  Proving a report complete costs every copy at the best in
-    those chunks: listing all 410 triangle-free graphs on 8 vertices (k=0)
-    makes 2,730 ``canonical_form`` calls, the census 1.
+    stops at the first class past the cap.  Proving a report complete costs
+    every copy at the best in those chunks: listing all 410 triangle-free
+    graphs on 8 vertices (k=0) makes 1,870 ``canonical_form`` calls.
     """
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     _check_spec(spec)
     n, k, t, r = spec.n, spec.k, spec.t, spec.r
-    width = min(comb(n, r), _CHUNK_EDGE_BITS)
+    width = _chunk_width(n, r)
     jobs = [(n, r, k, t, c << width, c + 1 << width, spec.collect_witnesses)
-            for c, rep in enumerate(_orbit_least(n, r, width)) if rep == c]  # ascending
+            for c in _orbit_least(n, r, width)]  # ascending
     return _run(spec, jobs, min(workers, len(jobs), _cpu_count() if hasattr(os, "fork") else 1))
 
 

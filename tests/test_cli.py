@@ -475,6 +475,16 @@ def test_inputs_that_select_nothing_exit_2(capsys):
          "witness cap must be >= 1, got -1"),
         (["search", "--n", "4", "--witnesses", "--witness-cap", "0"],
          "witness cap must be >= 1, got 0"),
+        (["verify", "--theorem", "nielsen", "--n", "..4", "--k", "2"],
+         "--n: expected N or LO..HI, got '..4'"),
+        (["verify", "--theorem", "nielsen", "--n", "4..x", "--k", "2"],
+         "--n: expected N or LO..HI, got '4..x'"),
+        (["verify", "--theorem", "nielsen", "--n", "3..4..5", "--k", "2"],
+         "--n: expected N or LO..HI, got '3..4..5'"),
+        (["verify", "--theorem", "nielsen", "--n", "5", "--k", "2.."],
+         "--k: expected N or LO..HI, got '2..'"),
+        (["verify", "--theorem", "mt-n1", "--n", "5", "--t", "three"],
+         "--t: expected N or LO..HI, got 'three'"),
     ]
     for argv, message in cases:
         code, out, err = run(argv + ["--threads", "1"], capsys)
@@ -513,10 +523,11 @@ def _count_forks(monkeypatch) -> list[int]:
 
 
 def test_search_threads_are_capped_by_chunks_and_cpus(monkeypatch, capsys):
-    # n=7 has 32 chunks, 14 of them orbit-least: only those are scanned for
-    # the value.  A request for 100000 workers runs no more processes than
-    # those chunks or the CPUs, the caller and one forked child per other
-    # process; the result is the serial one.
+    # n=7 has 1024 chunks, 34 of them orbit-least (the graphs on vertices
+    # 2..6): only those are scanned for the value.  A request for 100000
+    # workers runs no more processes than those chunks or the CPUs, the
+    # caller and one forked child per other process; the result is the
+    # serial one.
     import mislab.search as search
 
     forks = _count_forks(monkeypatch)
@@ -524,7 +535,7 @@ def test_search_threads_are_capped_by_chunks_and_cpus(monkeypatch, capsys):
     code, out, _ = run(argv + ["--threads", "1"], capsys)
     assert code == 0 and forks == []
     serial = json.loads(out)["result"]
-    for cpus, want in ((1000, 14), (2, 2)):
+    for cpus, want in ((1000, 34), (2, 2)):
         monkeypatch.setattr(search, "_cpu_count", lambda: cpus)
         forks.clear()
         code, out, _ = run(argv + ["--threads", "100000"], capsys)
@@ -535,7 +546,7 @@ def test_search_threads_are_capped_by_chunks_and_cpus(monkeypatch, capsys):
 
 
 def test_a_verify_table_forks_per_multi_chunk_row(monkeypatch, capsys):
-    # nielsen at n=7 has five rows of 14 orbit-least chunks each: with 2
+    # nielsen at n=7 has five rows of 34 orbit-least chunks each: with 2
     # threads each row forks one child.  m3n2 up to n=6 scans one chunk per
     # row: no fork.
     import mislab.search as search

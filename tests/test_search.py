@@ -397,15 +397,29 @@ def test_uniqueness_census_small():
     assert rep7.value == 3 and len(rep7.witnesses) >= 2
 
 
+def _cut_at(monkeypatch, bits: int | None) -> None:
+    """Cut every scan at ``bits`` low bits (all, if fewer), or at vertex 2 if None.
+
+    At None even a scan of one chunk is cut where a larger scan is: its low
+    bits are the slots that meet vertex 0 or 1.
+    """
+    import mislab.search as search
+
+    if bits is None:
+        monkeypatch.setattr(search, "_CHUNK_EDGE_BITS", 0)
+    else:
+        monkeypatch.setattr(search, "_chunk_width", lambda n, r: min(math.comb(n, r), bits))
+
+
 def test_scan_matches_per_graph_oracle_at_small_n(monkeypatch):
     # Independent re-derivation of the whole census: naive subset-scan MIS
     # profiles over every labeled graph, no bitmask machinery shared.  The
     # scan also runs in small chunks, which puts the prefix skip, the
-    # low-bit clique filter and the straddling constraints to work; its
-    # reports, witness truncation order included, must not change.
+    # low-bit clique filter and the straddling constraints to work, and
+    # at the vertex cut; its reports, witness truncation order included,
+    # must not change.
     from itertools import combinations
 
-    import mislab.search as search
     from naive import naive_has_clique, naive_mis_profile
 
     for n in (4, 5):
@@ -426,18 +440,18 @@ def test_scan_matches_per_graph_oracle_at_small_n(monkeypatch):
                     spec = SearchSpec(n, k=k, t=t, collect_witnesses=True, witness_cap=cap)
                     whole = exhaustive_m(spec).to_json()
                     assert whole["value"] == best, (n, t, k, whole["value"], best)
-                    for bits in (3, 5):
-                        monkeypatch.setattr(search, "_CHUNK_EDGE_BITS", bits)
+                    for bits in (3, 5, None):
+                        _cut_at(monkeypatch, bits)
                         assert exhaustive_m(spec).to_json() == whole, (n, t, k, cap, bits)
                         monkeypatch.undo()
 
 
 def test_3graph_scan_matches_per_graph_oracle_at_small_n(monkeypatch):
     # The same re-derivation for r=3: naive subset-scan MIS counts over every
-    # labeled 3-graph, and the same reports at small chunk widths.
+    # labeled 3-graph, and the same reports at small chunk widths and at the
+    # vertex cut.
     from itertools import combinations
 
-    import mislab.search as search
     from naive import hyper_contains_complete, naive_hyper_count_k_mis
 
     for n in (4, 5):
@@ -459,8 +473,8 @@ def test_3graph_scan_matches_per_graph_oracle_at_small_n(monkeypatch):
                     spec = SearchSpec(n, k=k, t=t, r=3, collect_witnesses=True, witness_cap=cap)
                     whole = exhaustive_m(spec).to_json()
                     assert whole["value"] == best, (n, t, k, whole["value"], best)
-                    for bits in (3, 5):
-                        monkeypatch.setattr(search, "_CHUNK_EDGE_BITS", bits)
+                    for bits in (3, 5, None):
+                        _cut_at(monkeypatch, bits)
                         assert exhaustive_m(spec).to_json() == whole, (n, t, k, cap, bits)
                         monkeypatch.undo()
 
@@ -469,8 +483,9 @@ def test_exhaustive_m_matches_the_reference_loop(monkeypatch):
     # The orbit-least value pass, the witness pass over the orbit-least
     # chunks at the best and the adjacent-swap pre-filter, against the
     # report contract computed from naive MIS profiles and canonical_form on
-    # every mask at the best: byte-identical reports at every chunk width,
-    # with 1 worker and, at the largest n, with 2 to 4 processes.
+    # every mask at the best: byte-identical reports at every chunk width
+    # and at the vertex cut, with 1 worker and, at the largest n, with 2 to
+    # 4 processes.
     import mislab.search as search
 
     monkeypatch.setattr(search, "_cpu_count", lambda: 4)
@@ -479,8 +494,8 @@ def test_exhaustive_m_matches_the_reference_loop(monkeypatch):
         got = json.dumps(exhaustive_m(spec, workers=workers).to_json())
         return got == json.dumps(reference_exhaustive_m(spec).to_json())
 
-    for bits in (3, 5, 16):
-        monkeypatch.setattr(search, "_CHUNK_EDGE_BITS", bits)
+    for bits in (3, 5, 16, None):
+        _cut_at(monkeypatch, bits)
         for r, top in ((2, 6), (3, 5)):
             for n in range(1, top + 1):
                 for t in (None, r + 1, r + 2):
@@ -495,27 +510,31 @@ def test_exhaustive_m_matches_the_reference_loop(monkeypatch):
 
 
 def test_all_ties_witness_path_keeps_narrow_hits(monkeypatch):
-    # At k=0 every triangle-free graph on 8 vertices ties at 0, so every
-    # surviving mask of the 185 orbit-least chunks past the prefix test is a
-    # hit: 705,521 in all.  They stay uint16 low patterns, about 1.4 MB,
-    # where a list of Python ints would take about 25 MB.  The first mask,
-    # the edgeless graph, fills the cap of 1, and the next class truncates.
+    # At k=0 every graph ties at 0, so every surviving mask of every
+    # orbit-least chunk is a hit.  Triangle-free on 8 vertices: the 38
+    # chunks past the prefix test keep 39,712 masks; unfiltered, all 8192
+    # masks of each of the 156 chunks, 1,277,952 in all.  They stay uint16
+    # low patterns, 2 bytes each, where a list of Python ints would take
+    # about 36 bytes each.  The first mask, the edgeless graph, fills the
+    # cap of 1, and the next class truncates.
     import mislab.search as search
 
-    spec = SearchSpec(8, k=0, t=3, collect_witnesses=True, witness_cap=1)
     kept = []
     dedup = search._dedup_witnesses
     monkeypatch.setattr(search, "_dedup_witnesses",
                         lambda n, r, cap, results: kept.append(results) or dedup(n, r, cap, results))
-    want = {"spec": {"n": 8, "k": 0, "t": 3, "r": 2, "witnesses": True}, "value": 0,
-            "witnesses": ["G?????"], "graphs_scanned": 1 << 28, "truncated": True}
-    for workers in (1, 2):
-        assert json.dumps(exhaustive_m(spec, workers=workers).to_json()) == json.dumps(want)
-    assert len(kept) == 2
-    for results in kept:
-        assert len(results) == 185
-        assert sum(len(hits) for _, hits in results) == 705_521
-        assert sum(hits.nbytes for _, hits in results) == 2 * 705_521
+    for t, chunks, hits in ((3, 38, 39_712), (None, 156, 1_277_952)):
+        spec = SearchSpec(8, k=0, t=t, collect_witnesses=True, witness_cap=1)
+        want = {"spec": {"n": 8, "k": 0, "t": t, "r": 2, "witnesses": True}, "value": 0,
+                "witnesses": ["G?????"], "graphs_scanned": 1 << 28, "truncated": True}
+        kept.clear()
+        for workers in (1, 2):
+            assert json.dumps(exhaustive_m(spec, workers=workers).to_json()) == json.dumps(want)
+        assert len(kept) == 2
+        for results in kept:
+            assert len(results) == chunks, t
+            assert sum(len(x) for _, x in results) == hits, t
+            assert sum(x.nbytes for _, x in results) == 2 * hits, t
     assert_no_child()
 
 
@@ -527,14 +546,16 @@ def test_each_process_ships_only_the_hits_at_its_own_best(monkeypatch):
 
     import mislab.search as search
 
-    reps = [c for c, rep in enumerate(search._orbit_least(7, 2, 16)) if rep == c]
+    width = search._chunk_width(7, 2)
+    reps = list(search._orbit_least(7, 2, width))
     value = {c: c * 7 % 5 for c in reps}
     top = max(value.values())
     shipped, kept = [], []
     load = pickle.load
     monkeypatch.setattr(pickle, "load", lambda pipe: shipped.append(load(pipe)) or shipped[-1])
     monkeypatch.setattr(search, "_cpu_count", lambda: 4)
-    monkeypatch.setattr(search, "_scan_chunk", lambda job: (value[job[4] >> 16], [job[4] >> 16]))
+    monkeypatch.setattr(search, "_scan_chunk",
+                        lambda job: (value[job[4] >> width], [job[4] >> width]))
     monkeypatch.setattr(search, "_dedup_witnesses",
                         lambda n, r, cap, results: kept.append(results) or ([], False))
     rep = exhaustive_m(SearchSpec(7, k=2, collect_witnesses=True), workers=3)
@@ -542,9 +563,9 @@ def test_each_process_ships_only_the_hits_at_its_own_best(monkeypatch):
     for i, (best, pairs) in enumerate(shipped, 1):
         share = reps[i::3]
         assert best == max(value[c] for c in share)
-        assert pairs == [(c << 16, [c]) for c in share if value[c] == best], i
+        assert pairs == [(c << width, [c]) for c in share if value[c] == best], i
     assert sum(len(pairs) for _, pairs in shipped) < len(reps) - len(reps[::3])
-    assert kept == [[(c << 16, [c]) for c in reps if value[c] == top]]
+    assert kept == [[(c << width, [c]) for c in reps if value[c] == top]]
     assert_no_child()
 
 
@@ -676,67 +697,135 @@ def _brute_stabiliser(n: int, r: int, width: int) -> set[tuple[int, ...]]:
     }
 
 
+def _generated(n: int, swaps: list[tuple[int, int]]) -> set[tuple[int, ...]]:
+    """Every permutation of range(n) that a product of the label ``swaps`` makes."""
+    group, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        perm = frontier.pop()
+        for i, j in swaps:
+            image = tuple(j if v == i else i if v == j else v for v in perm)
+            if image not in group:
+                group.add(image)
+                frontier.append(image)
+    return group
+
+
 def test_orbit_group_is_the_low_slot_stabiliser():
     import mislab.search as search
 
     for r, top in ((2, 6), (3, 5)):
         for n in range(1, top + 1):
             for width in range(math.comb(n, r) + 1):
-                group = search._stabiliser(n, r, width)
-                assert group[0] == tuple(range(n)), (r, n, width)
-                assert len(set(group)) == len(group), (r, n, width)
-                assert set(group) == _brute_stabiliser(n, r, width), (r, n, width)
-    # At the real width, past the reach of n! brute force: every element
-    # keeps the low slots low.
-    for n, r, order in ((7, 2, None), (8, 2, 24), (6, 3, None)):
+                swaps = search._low_swaps(n, r, width)
+                assert _generated(n, swaps) == _brute_stabiliser(n, r, width), (r, n, width)
+    # At the real widths, past the reach of n! brute force: Sym({0, 1}) x
+    # Sym({2, ..., n-1}) at the vertex cut, and the old fixed cut at 16 bits
+    # at n=8; every element keeps the low slots low.
+    for n, r, width, order in ((8, 2, 13, 1440), (7, 2, 11, 240), (6, 3, 16, 48), (8, 2, 16, 24)):
+        assert search._chunk_width(n, r) == width or width == 16 and r == 2
         slots = list(combinations(range(n), r))
-        low = set(slots[:16])
-        group = search._stabiliser(n, r, 16)
-        assert order is None or len(group) == order
+        low = set(slots[:width])
+        group = _generated(n, search._low_swaps(n, r, width))
+        assert len(group) == order, (n, r, width)
         for perm in group:
             assert all(tuple(sorted(perm[v] for v in s)) in low for s in low), (n, r, perm)
 
 
+def _brute_orbit_least(n: int, r: int, width: int) -> list[int]:
+    """The chunks least in their orbit under every relabelling keeping the low slots low."""
+    slots = list(combinations(range(n), r))
+    index = {s: b for b, s in enumerate(slots)}
+    images = [[1 << index[tuple(sorted(perm[v] for v in s))] for s in slots]
+              for perm in _brute_stabiliser(n, r, width)]
+    reps = []
+    for c in range(1 << (len(slots) - width)):
+        prefix = [b for b in range(width, len(slots)) if (c << width) >> b & 1]
+        if all(sum(image[b] for b in prefix) >> width >= c for image in images):
+            reps.append(c)
+    return reps
+
+
 def test_orbit_least_chunks_match_brute_force_orbits():
+    # Against every relabelling found by brute force, the real width at n=7
+    # (Sym(5) x Sym(2) on 1024 chunks) included.
     import mislab.search as search
 
-    for n, r, width in ((5, 2, 3), (5, 2, 5), (6, 2, 8), (4, 3, 2), (5, 3, 3)):
-        slots = list(combinations(range(n), r))
-        index = {s: b for b, s in enumerate(slots)}
-        group = _brute_stabiliser(n, r, width)
-        want = []
-        for c in range(1 << (len(slots) - width)):
-            prefix = [s for b, s in enumerate(slots) if (c << width) >> b & 1]
-            want.append(min(
-                sum(1 << index[tuple(sorted(perm[v] for v in s))] for s in prefix) >> width
-                for perm in group
-            ))
-        assert list(search._orbit_least(n, r, width)) == want, (n, r, width)
+    for n, r, width in ((5, 2, 3), (5, 2, 5), (6, 2, 8), (4, 3, 2), (5, 3, 3), (7, 2, 11)):
+        assert list(search._orbit_least(n, r, width)) == _brute_orbit_least(n, r, width), (
+            n, r, width)
+
+
+def _class_count(n: int, r: int) -> int:
+    """Isomorphism classes of r-graphs on n vertices, by brute force over relabellings."""
+    slots = list(combinations(range(n), r))
+    index = {s: b for b, s in enumerate(slots)}
+    images = [[1 << index[tuple(sorted(perm[v] for v in s))] for s in slots]
+              for perm in permutations(range(n))]
+    return len({min(sum(image[b] for b in range(len(slots)) if mask >> b & 1) for image in images)
+                for mask in range(1 << len(slots))})
+
+
+def test_orbit_least_chunks_are_the_classes_on_the_last_vertices():
+    # At the vertex cut a chunk fixes the r-graph on vertices 2..n-1, and
+    # its orbit-least chunks are that r-graph's isomorphism classes: the
+    # graphs on 5 and 6 vertices in networkx's atlas (34 and 156), the
+    # triangle-free ones on 6 (38) past the census's prefix test, and 5
+    # classes of 3-graphs on 4 vertices.  At n=8 each atlas graph on 6
+    # vertices is isomorphic to exactly one orbit-least prefix.
+    import mislab.search as search
+
+    nx = pytest.importorskip("networkx")
+    atlas = {m: [g for g in nx.graph_atlas_g() if g.number_of_nodes() == m] for m in (5, 6)}
+    free = [g for g in atlas[6] if not any(nx.triangles(g).values())]
+    assert _class_count(4, 3) == 5
+    for n, r, want in ((7, 2, len(atlas[5])), (8, 2, len(atlas[6])), (6, 3, _class_count(4, 3))):
+        assert len(search._orbit_least(n, r, search._chunk_width(n, r))) == want, (n, r)
+    width = search._chunk_width(8, 2)
+    slots = list(combinations(range(8), 2))
+    prefixes = []
+    for c in search._orbit_least(8, 2, width):
+        g = nx.empty_graph(range(2, 8))
+        g.add_edges_from(s for b, s in enumerate(slots) if (c << width) >> b & 1)
+        prefixes.append(g)
+    for g in atlas[6]:
+        assert sum(nx.is_isomorphic(g, h) for h in prefixes
+                   if sorted(d for _, d in g.degree) == sorted(d for _, d in h.degree)) == 1
+    killers, _, _ = search._clique_filter(8, 2, 3, width)
+    past = [c for c in search._orbit_least(8, 2, width)
+            if not any(c << width & km == km for km in killers)]
+    assert len(past) == len(free)
 
 
 def test_census_scans_one_chunk_per_orbit(monkeypatch):
-    # At n=8 the 24 relabellings that keep the 16 low slots low leave 536
-    # orbit-least chunks of 4096, 185 of them past the prefix test.  One
-    # pass scans each once, in ascending order, collecting the hits at each
-    # chunk's best; one mask, the least copy of the one class, is
+    # At n=8 the cut at vertex 2 leaves 156 orbit-least chunks of 32,768
+    # (the graphs on 6 vertices, OEIS A000088), 38 of them past the prefix
+    # test (the triangle-free ones, A006785): those 38 are the live chunks.
+    # One pass scans each once, in ascending order, collecting the hits at
+    # each chunk's best; one mask, the least copy of the one class, is
     # canonicalised.
     import mislab.search as search
 
-    least = search._orbit_least(8, 2, 16)
-    reps = [c for c, rep in enumerate(least) if rep == c]
-    killers, _, _ = search._clique_filter(8, 2, 3, 16)
-    past = [c for c in reps if not any(c << 16 & km == km for km in killers)]
-    assert (len(least), len(reps), len(past)) == (4096, 536, 185)
-    jobs, forms = [], []
+    width = search._chunk_width(8, 2)
+    reps = list(search._orbit_least(8, 2, width))
+    killers, _, _ = search._clique_filter(8, 2, 3, width)
+    past = [c for c in reps if not any(c << width & km == km for km in killers)]
+    assert (width, len(reps), len(past)) == (13, 156, 38)
+    jobs, values, forms = [], [], []
     scan, canon = search._scan_chunk, search.canonical_form
-    monkeypatch.setattr(search, "_scan_chunk", lambda job: jobs.append(job) or scan(job))
+
+    def spy(job):
+        jobs.append(job)
+        values.append(scan(job))
+        return values[-1]
+
+    monkeypatch.setattr(search, "_scan_chunk", spy)
     monkeypatch.setattr(search, "canonical_form", lambda g: forms.append(g) or canon(g))
     rep = uniqueness_check(8)
     assert (rep.value, rep.witnesses, rep.truncated) == (4, ["G?]uf?"], False)
     assert rep.graphs_scanned == 1 << 28
-    assert [job[4] >> 16 for job in jobs] == reps
-    assert all(job[6] for job in jobs)
-    assert len(jobs) == 536
+    assert [job[4] >> width for job in jobs] == reps
+    assert all(job[5] - job[4] == 1 << 13 and job[6] for job in jobs)
+    assert [c for c, (value, _) in zip(reps, values) if value >= 0] == past
     assert len(forms) == 1
 
 
@@ -799,10 +888,10 @@ def test_prefilter_skips_only_copies_above_their_least():
                 sum(bit_of[tuple(sorted(perm[v] for v in e))] for e in edges)
                 for perm in permutations(range(n))
             }
-        least = search._orbit_least(n, r, width)
+        least = set(search._orbit_least(n, r, width))
         chunks: dict[int, list[int]] = {}
         for mask in sorted(copies):
-            if least[mask >> width] == mask >> width:
+            if mask >> width in least:
                 chunks.setdefault(mask >> width, []).append(mask)
         classes = list(dict.fromkeys(
             canonical_form(graph_from_edge_mask(n, mask, r)).decode("ascii")
@@ -880,14 +969,13 @@ def _naive_chunk(n, k, t, lo, hi, r=2):
     return best, hits
 
 
-def test_narrow_scan_kernel_matches_naive_counts_on_high_chunks(monkeypatch):
+def test_narrow_scan_kernel_matches_naive_counts_on_high_chunks():
     # Chunks whose fixed prefix sets high bits, scanned at width 8, where the
     # low patterns are uint8: every inside mask reaching past the low bits
     # must be cut to them, and every low bit, the top one included, counts.
     import mislab.search as search
 
-    monkeypatch.setattr(search, "_CHUNK_EDGE_BITS", 8)
-    n, width = 7, search._CHUNK_EDGE_BITS
+    n, width = 7, 8
     top = 1 << 21
     rng = random.Random(8)
     los = [rng.randrange(1, top >> width) << width for _ in range(3)]
