@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import random
 import sys
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -38,6 +40,8 @@ from mislab import (
     window_hypergraph,
 )
 from naive import (
+    _naive_profile,
+    _reference_profiles,
     c_calls,
     counting_links,
     edges,
@@ -144,17 +148,25 @@ def test_memoised_profile_counts_match_naive_in_every_order():
         assert count_all_mis(g) == sum(want)
 
 
-def _count_walks(monkeypatch, name: str = "enumerate_k_mis") -> list:
-    # The counters look their walker up by module attribute, so wrapping it
-    # there records every walk they take.
+def _count_walks(monkeypatch) -> list:
+    # The counters look their walkers and the lattice kernel up by module
+    # attribute, so wrapping them there records every walk they take, as
+    # (object, k), and every kernel call, as (object, "lattice").
     walks = []
-    walk = getattr(engine, name)
+    for name in ("enumerate_k_mis", "hypergraph_enumerate_k_mis"):
 
-    def counted(g, k, visitor=None):
-        walks.append((g, k))
-        return walk(g, k, visitor)
+        def counted(x, k, visitor=None, walk=getattr(engine, name)):
+            walks.append((x, k))
+            return walk(x, k, visitor)
 
-    monkeypatch.setattr(engine, name, counted)
+        monkeypatch.setattr(engine, name, counted)
+    kernel = engine._lattice_profile
+
+    def counted_kernel(x):
+        walks.append((x, "lattice"))
+        return kernel(x)
+
+    monkeypatch.setattr(engine, "_lattice_profile", counted_kernel)
     return walks
 
 
@@ -164,7 +176,7 @@ def test_memo_is_keyed_by_identity_and_keeps_the_range_check(monkeypatch):
     want = naive_mis_profile(g)
     assert count_k_mis(g, 3) == want.get(3, 0)
     assert count_k_mis(g, 2) == want.get(2, 0)
-    assert walks == [(g, 3), (g, None)]
+    assert walks == [(g, 3), (g, "lattice")]
     # Reading the memo before the range check would return a count or an IndexError.
     for k in (-1, g.n + 1):
         with pytest.raises(ValueError, match=f"k={k} outside 0..6"):
@@ -175,7 +187,14 @@ def test_memo_is_keyed_by_identity_and_keeps_the_range_check(monkeypatch):
     assert count_k_mis(twin, 3) == want.get(3, 0)
     assert count_k_mis(twin, 4) == want.get(4, 0)
     assert count_all_mis(g) == sum(want.values())
-    assert [(h is twin, k) for h, k in walks] == [(True, 3), (True, None), (False, None)]
+    assert [(h is twin, k) for h, k in walks] == [(True, 3), (True, "lattice"), (False, None)]
+    # Above the lattice cap the second size runs the tallying walk.
+    monkeypatch.setattr(engine, "_LATTICE_MAX_N", -1)
+    walks.clear()
+    assert count_k_mis(twin, 3) == want.get(3, 0)
+    assert count_k_mis(twin, 2) == want.get(2, 0)
+    assert count_k_mis(twin, 4) == want.get(4, 0)
+    assert walks == [(twin, 3), (twin, None)]
 
 
 def test_profile_walk_runs_only_when_a_second_size_is_asked(monkeypatch):
@@ -194,13 +213,20 @@ def test_profile_walk_runs_only_when_a_second_size_is_asked(monkeypatch):
     want = [naive_mis_profile(g).get(k, 0) for k in range(g.n + 1)]
     assert [count_k_mis(g, k) for k in range(g.n + 1)] == want
     assert count_all_mis(g) == sum(want)
-    assert [k for _, k in walks] == [0, None]
+    assert [k for _, k in walks] == [0, "lattice"]
     walks.clear()
     g = Graph.cycle(9)
     assert count_all_mis(g) == sum(want)
     assert [count_k_mis(g, k) for k in range(1, g.n + 1)] == want[1:]
     assert count_all_mis(g) == sum(want)
-    assert [k for _, k in walks] == [None, None]
+    assert [k for _, k in walks] == [None, "lattice"]
+    # Above the lattice cap the profile comes from the tallying walk.
+    monkeypatch.setattr(engine, "_LATTICE_MAX_N", -1)
+    walks.clear()
+    g = Graph.cycle(9)
+    assert [count_k_mis(g, k) for k in range(g.n + 1)] == want
+    assert count_all_mis(g) == sum(want)
+    assert [k for _, k in walks] == [0, None]
 
 
 def test_every_size_after_one_size_runs_the_counting_walk():
@@ -215,6 +241,66 @@ def test_every_size_after_one_size_runs_the_counting_walk():
     want = naive_mis_profile(g)
     assert count_k_mis(g, 3) == want[3] and count_all_mis(g) == sum(want.values())
     assert [count_k_mis(g, k) for k in range(g.n + 1)] == [want.get(k, 0) for k in range(g.n + 1)]
+
+
+def test_lattice_profile_matches_every_labelled_graph_and_3graph_to_n5():
+    # Each labelled graph goes in both as a Graph and as a 2-uniform
+    # Hypergraph, which take the kernel's two edge paths.
+    for r in (2, 3):
+        for n in range(6):
+            for edges, want in _reference_profiles(n, r):
+                h = Hypergraph.from_edges(n, edges)
+                assert engine._lattice_profile(h) == want, (n, edges)
+                if r == 2:
+                    assert engine._lattice_profile(Graph.from_edges(n, edges)) == want, (n, edges)
+
+
+def test_lattice_profile_matches_naive_on_random_inputs_up_to_the_cap():
+    rng = random.Random(1331)
+    for n in range(engine._LATTICE_MAX_N + 1):
+        for _ in range(3):
+            g = random_graph(rng, n, rng.random())
+            want = naive_mis_profile(g)
+            assert engine._lattice_profile(g) == tuple(want.get(k, 0) for k in range(n + 1)), g
+            h = random_mixed_hypergraph(rng, n, rng.randint(0, 3 * n))
+            assert engine._lattice_profile(h) == _naive_profile(n, h.edges), h
+
+
+def test_lattice_profile_edge_cases():
+    assert engine._lattice_profile(Graph(0, ())) == (1,)
+    assert engine._lattice_profile(Hypergraph(0, ())) == (1,)
+    assert engine._lattice_profile(Graph.empty(1)) == (0, 1)
+    assert engine._lattice_profile(Hypergraph(1, ())) == (0, 1)
+    cap = engine._LATTICE_MAX_N
+    for n in (2, 5, cap):
+        assert engine._lattice_profile(Graph.empty(n)) == (0,) * n + (1,)
+        assert engine._lattice_profile(Hypergraph(n, ())) == (0,) * n + (1,)
+        assert engine._lattice_profile(Graph.complete(n)) == (0, n) + (0,) * (n - 1)
+    # The complete 3-graph: every pair is maximal, and no other set.
+    k5 = Hypergraph.from_edges(5, combinations(range(5), 3))
+    assert engine._lattice_profile(k5) == (0, 0, 10, 0, 0, 0)
+
+
+def test_the_cap_is_the_last_size_counted_on_the_lattice(monkeypatch):
+    # At the cap a second size is counted on the lattice, one vertex above it
+    # by the tallying walk; forcing the other path gives the same counts.
+    walks = _count_walks(monkeypatch)
+    cap = engine._LATTICE_MAX_N
+    rng = random.Random(1213)
+    for n in (cap, cap + 1):
+        pairs = (
+            (random_graph(rng, n, 0.3), count_k_mis),
+            (random_hypergraph3(rng, n, 0.1), hypergraph_count_k_mis),
+        )
+        for x, count in pairs:
+            profiles = []
+            for limit in (cap, -1 if n <= cap else n):
+                monkeypatch.setattr(engine, "_LATTICE_MAX_N", limit)
+                y = replace(x)  # a fresh object, so the memo does not answer
+                walks.clear()
+                profiles.append([count(y, k) for k in range(n + 1)])
+                assert walks == [(y, 0), (y, "lattice" if n <= limit else None)], (n, limit)
+            assert profiles[0] == profiles[1] and sum(profiles[0]) > 1, x
 
 
 def test_count_invariant_under_relabeling():
@@ -654,12 +740,12 @@ def test_hypergraph_memoised_profile_counts_match_naive_in_every_order():
 
 
 def test_hypergraph_memo_is_keyed_by_identity_and_keeps_the_range_check(monkeypatch):
-    walks = _count_walks(monkeypatch, "hypergraph_enumerate_k_mis")
+    walks = _count_walks(monkeypatch)
     h = Hypergraph.from_edges(6, [(0, 1, 2), (2, 3, 4), (1, 4, 5), (0, 5)])
     want = [naive_hyper_count_k_mis(h, k) for k in range(h.n + 1)]
     assert hypergraph_count_k_mis(h, 3) == want[3]
     assert hypergraph_count_k_mis(h, 2) == want[2]
-    assert walks == [(h, 3), (h, None)]
+    assert walks == [(h, 3), (h, "lattice")]
     # Reading the memo before the range check would return a count or an IndexError.
     for k in (-1, h.n + 1):
         with pytest.raises(ValueError, match=f"k={k} outside 0..6"):
@@ -669,11 +755,16 @@ def test_hypergraph_memo_is_keyed_by_identity_and_keeps_the_range_check(monkeypa
     walks.clear()
     assert [hypergraph_count_k_mis(twin, k) for k in range(h.n + 1)] == want
     assert hypergraph_count_k_mis(h, 4) == want[4]
-    assert [(x is twin, k) for x, k in walks] == [(True, 0), (True, None), (False, 4)]
+    assert [(x is twin, k) for x, k in walks] == [(True, 0), (True, "lattice"), (False, 4)]
+    # Above the lattice cap the second size runs the tallying walk.
+    monkeypatch.setattr(engine, "_LATTICE_MAX_N", -1)
+    walks.clear()
+    assert [hypergraph_count_k_mis(twin, k) for k in range(h.n + 1)] == want
+    assert walks == [(twin, 0), (twin, None)]
 
 
 def test_hypergraph_profile_walk_runs_only_when_a_second_size_is_asked(monkeypatch):
-    walks = _count_walks(monkeypatch, "hypergraph_enumerate_k_mis")
+    walks = _count_walks(monkeypatch)
     h = window_hypergraph(4, 5, 20)
     assert hypergraph_count_k_mis(h, 5) == 1024
     assert hypergraph_count_k_mis(h, 5) == 1024
