@@ -8,8 +8,8 @@ the w low bits are the slots meeting vertex 0 or 1, which come first in
 vertices 2..n-1, and its masks are that prefix plus every w-bit low pattern.
 The per-(n, r, t, w) clique filter, cached per process, sorts each forbidden
 complete r-graph on t vertices by where its slots fall: wholly in the high
-bits (a chunk whose prefix holds it is skipped before any other work),
-wholly in the low bits (removed once, from a cached ascending array of low
+bits (a killer: a chunk whose prefix holds one is never scanned), wholly
+in the low bits (removed once, from a cached ascending array of low
 patterns), or straddling (a constraint on the low bits only in chunks whose
 prefix holds its high part; a chunk's active straddlers build one keep-mask,
 their single-slot lows merged into one compare).  A vertex set is an MIS
@@ -23,10 +23,13 @@ antichain, so by Sperner's theorem there are at most C(n, n // 2).  numpy
 is imported only inside the scan.
 
 Vertex relabellings that keep every low slot low map chunks onto chunks and
-keep each graph's MIS count and clique-freeness, so, as in orderly
-generation, only the least chunk of each orbit (one per class of r-graphs on
-vertices 2..n-1) is scanned; ``graphs_scanned`` still counts every mask.
-The caller scans one share of them and a forked child each other share.
+killers onto killers, and keep each graph's MIS count and clique-freeness.
+So, as in orderly generation, only the least live chunk (one whose prefix
+holds no killer) of each orbit is scanned: one per K_t-free class of
+r-graphs on vertices 2..n-1.  The killers are tested on chunk indices before
+the orbit pass, which then runs on the live chunks alone; ``graphs_scanned``
+still counts every mask.  The caller scans one share of the live orbit-least
+chunks and a forked child each other share.
 With witnesses, each chunk returns its low patterns at its best, and each
 process keeps those of its chunks at its own running best: the orbit-least
 chunks at the overall best hold the least labelled copy of every class at
@@ -221,6 +224,7 @@ def _scan_chunk(args: tuple) -> tuple[int, np.ndarray | list]:
     width = (hi - lo).bit_length() - 1
     low_bits = (1 << width) - 1
     killers, straddlers, base = _clique_filter(n, r, t, width)
+    # No job of ``exhaustive_m`` is killed, but this takes any aligned block.
     if any(lo & km == km for km in killers):
         return -1, []
     # Single-slot lows merge into one mask; a multi-slot low meeting it removes nothing more.
@@ -296,30 +300,73 @@ def _low_swaps(n: int, r: int, width: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _orbit_least(n: int, r: int, width: int) -> tuple[int, ...]:
-    """The chunks least in their orbit under ``_low_swaps``, ascending, by index.
+def _swap_tables(
+    n: int, r: int, width: int
+) -> tuple[int, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Each ``_low_swaps`` swap's action on chunk indices, read from two tables.
 
-    A chunk's index is its fixed prefix shifted down by ``width``.  A swap
-    maps each chunk onto one chunk, so minima spread along the swaps until
-    nothing changes.  A relabelling keeps every graph's MIS count and
-    K_t-freeness, so a chunk reaches the same best as its orbit-least chunk.
+    A swap permutes the high slots, so it maps chunk c to the OR of the
+    images of c's bits: ``lows[c & (1 << half) - 1] | highs[c >> half]``,
+    with the index cut at its middle bit ``half``.  Returns (half, (lows,
+    highs) per swap that moves some high slot), native intp for fast
+    gathers.  They do not depend on t, so scans that differ only in t share
+    them.
     """
     import numpy as np
     slots = list(combinations(range(n), r))
-    chunks = np.arange(1 << len(slots) - width)
-    chunks = chunks.astype(np.min_scalar_type(chunks[-1]))
-    images = []
+    bit_of = {s: b - width for b, s in enumerate(slots)}
+    half = (len(slots) - width) // 2
+    tables = []
     for i, j in _low_swaps(n, r, width):
-        images.append(np.zeros_like(chunks))
-        for b, s in enumerate(slots[width:]):
-            to = slots.index(tuple(sorted(j if v == i else i if v == j else v for v in s))) - width
-            images[-1] |= (chunks >> b & 1) << to
-    least, before = chunks.copy(), None
+        to = [bit_of[tuple(sorted(j if v == i else i if v == j else v for v in s))]
+              for s in slots[width:]]
+        if to == sorted(to):
+            continue  # it fixes every high slot
+        halves = []
+        for part in (to[:half], to[half:]):
+            table = np.zeros(1 << len(part), dtype=np.intp)
+            for k, b in enumerate(part):  # entries with top bit k: those below it, plus b
+                table[1 << k:2 << k] = table[:1 << k] | 1 << b
+            halves.append(table)
+        tables.append(tuple(halves))
+    return half, tuple(tables)
+
+
+@lru_cache(maxsize=None)
+def _orbit_least(n: int, r: int, width: int, t: int | None = None) -> tuple[int, ...]:
+    """The live chunks least in their orbit under ``_low_swaps``, ascending, by index.
+
+    A chunk's index is its fixed prefix shifted down by ``width``.  A chunk
+    is live if its prefix holds no killer of ``_clique_filter`` (with t None,
+    every chunk is); the live ones are built up one prefix bit at a time.  A
+    relabelling that keeps the low slots low maps killers to killers, so it
+    maps live chunks onto live chunks, and minima spread along the swaps over
+    the live chunks alone until nothing changes.  A relabelling keeps every
+    graph's MIS count and K_t-freeness, so a chunk reaches the same best as
+    its orbit-least chunk.
+    """
+    import numpy as np
+    half, tables = _swap_tables(n, r, width)
+    bits = comb(n, r) - width
+    killers = [km >> width for km in _clique_filter(n, r, t, width)[0]]
+    live = np.zeros(1, dtype=np.intp)  # ascending: the live chunks below 1 << b
+    for b in range(bits):
+        grown = live | 1 << b
+        for k in killers:
+            if k >> b == 1:  # its top bit is b, so only grown prefixes can hold it
+                grown = grown[grown & k != k]
+        live = np.concatenate((live, grown))
+    pos = np.arange(len(live))
+    at = np.empty(1 << bits, dtype=np.intp)  # read only at live chunks
+    at[live] = pos
+    moves = [at[lows[live & (1 << half) - 1] | highs[live >> half]] for lows, highs in tables]
+    least, before = pos, None
     while before is None or not np.array_equal(least, before):
-        before = least.copy()
-        for image in images:
-            np.minimum(least, least[image], out=least)
-    return tuple(np.flatnonzero(least == chunks).tolist())
+        before = least
+        for move in moves:
+            least = np.minimum(least, least[move])
+        least = least[least]  # least[least[c]] is in c's orbit too, and no larger
+    return tuple(live[least == pos].tolist())
 
 
 @lru_cache(maxsize=None)
@@ -451,10 +498,12 @@ def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
     """Exact maximum MIS count over all (filtered) labeled r-graphs on n vertices.
 
     Refuses scans beyond ``SCAN_BITS_CAP`` edge bits rather than running
-    forever, and worker counts below 1.  Only the ``_orbit_least`` chunks
-    at ``_chunk_width`` are scanned, by ``workers`` processes capped by those
-    chunks and the CPUs (one where ``os.fork`` is missing); ``graphs_scanned``
-    still counts every mask, as the other chunks are relabelled copies.
+    forever, and worker counts below 1.  Only the live ``_orbit_least``
+    chunks at ``_chunk_width`` are scanned (38 of 32,768 in the n=8
+    triangle-free census), by ``workers`` processes capped by those chunks
+    and the CPUs (one where ``os.fork`` is missing); ``graphs_scanned`` still
+    counts every mask, as the other chunks are relabelled copies of them or
+    hold a forbidden clique in their prefix.
 
     Witnesses, when requested, follow the contract in ``SearchReport``.  The
     least copy M of a class at the best lies in an orbit-least chunk: each
@@ -472,7 +521,7 @@ def exhaustive_m(spec: SearchSpec, workers: int = 1) -> SearchReport:
     n, k, t, r = spec.n, spec.k, spec.t, spec.r
     width = _chunk_width(n, r)
     jobs = [(n, r, k, t, c << width, c + 1 << width, spec.collect_witnesses)
-            for c in _orbit_least(n, r, width)]  # ascending
+            for c in _orbit_least(n, r, width, t)]  # ascending
     return _run(spec, jobs, min(workers, len(jobs), _cpu_count() if hasattr(os, "fork") else 1))
 
 

@@ -524,10 +524,10 @@ def _count_forks(monkeypatch) -> list[int]:
 
 def test_search_threads_are_capped_by_chunks_and_cpus(monkeypatch, capsys):
     # n=7 has 1024 chunks, 34 of them orbit-least (the graphs on vertices
-    # 2..6): only those are scanned for the value.  A request for 100000
-    # workers runs no more processes than those chunks or the CPUs, the
-    # caller and one forked child per other process; the result is the
-    # serial one.
+    # 2..6) and 14 of those triangle-free: only those 14 are scanned for the
+    # value.  A request for 100000 workers runs no more processes than those
+    # chunks or the CPUs, the caller and one forked child per other process;
+    # the result is the serial one.
     import mislab.search as search
 
     forks = _count_forks(monkeypatch)
@@ -535,7 +535,7 @@ def test_search_threads_are_capped_by_chunks_and_cpus(monkeypatch, capsys):
     code, out, _ = run(argv + ["--threads", "1"], capsys)
     assert code == 0 and forks == []
     serial = json.loads(out)["result"]
-    for cpus, want in ((1000, 34), (2, 2)):
+    for cpus, want in ((1000, 14), (2, 2)):
         monkeypatch.setattr(search, "_cpu_count", lambda: cpus)
         forks.clear()
         code, out, _ = run(argv + ["--threads", "100000"], capsys)

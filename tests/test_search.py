@@ -745,14 +745,62 @@ def _brute_orbit_least(n: int, r: int, width: int) -> list[int]:
     return reps
 
 
+def _brute_killers(n: int, r: int, width: int, t: int | None) -> list[int]:
+    """Per t-set of vertices whose slots are all high, those slots as a chunk index."""
+    slots = list(combinations(range(n), r))
+    index = {s: b - width for b, s in enumerate(slots)}
+    return [sum(1 << index[s] for s in combinations(sub, r))
+            for sub in (combinations(range(n), t) if t is not None else ())
+            if all(index[s] >= 0 for s in combinations(sub, r))]
+
+
 def test_orbit_least_chunks_match_brute_force_orbits():
     # Against every relabelling found by brute force, the real width at n=7
-    # (Sym(5) x Sym(2) on 1024 chunks) included.
+    # (Sym(5) x Sym(2) on 1024 chunks) included, for every clique size: the
+    # live chunks are those whose prefix holds no K_t on high slots only.
     import mislab.search as search
 
     for n, r, width in ((5, 2, 3), (5, 2, 5), (6, 2, 8), (4, 3, 2), (5, 3, 3), (7, 2, 11)):
-        assert list(search._orbit_least(n, r, width)) == _brute_orbit_least(n, r, width), (
-            n, r, width)
+        brute = _brute_orbit_least(n, r, width)
+        assert list(search._orbit_least(n, r, width)) == brute, (n, r, width)
+        for t in (None, *range(r + 1, n + 1)):
+            killers = _brute_killers(n, r, width, t)
+            want = [c for c in brute if not any(c & k == k for k in killers)]
+            assert list(search._orbit_least(n, r, width, t)) == want, (n, r, width, t)
+
+
+def test_swap_tables_map_live_chunks_onto_live_chunks():
+    # Each swap that moves a high slot acts on chunk indices as the two
+    # tables say, and maps the chunks whose prefix holds no killer onto such
+    # chunks for every t: the spread over live chunks never leaves them.
+    import numpy as np
+
+    import mislab.search as search
+
+    for n, r, width in ((8, 2, 13), (7, 2, 11), (6, 3, 16), (6, 2, 8), (5, 3, 3), (5, 2, 5)):
+        slots = list(combinations(range(n), r))
+        index = {s: b for b, s in enumerate(slots)}
+        bits = len(slots) - width
+        chunks = np.arange(1 << bits)
+        images = []
+        for i, j in search._low_swaps(n, r, width):
+            image = np.zeros_like(chunks)
+            for b, s in enumerate(slots[width:]):
+                to = index[tuple(sorted(j if v == i else i if v == j else v for v in s))] - width
+                image |= (chunks >> b & 1) << to
+            if not np.array_equal(image, chunks):
+                images.append(image)
+        half, tables = search._swap_tables(n, r, width)
+        assert len(tables) == len(images), (n, r, width)
+        for (lows, highs), image in zip(tables, images):
+            assert lows.dtype == highs.dtype == np.intp
+            assert np.array_equal(lows[chunks & (1 << half) - 1] | highs[chunks >> half], image)
+        for t in range(r + 1, n + 1):
+            live = np.ones(len(chunks), dtype=bool)
+            for k in _brute_killers(n, r, width, t):
+                live &= chunks & k != k
+            for image in images:
+                assert live[image[live]].all(), (n, r, width, t)
 
 
 def _class_count(n: int, r: int) -> int:
@@ -769,40 +817,49 @@ def test_orbit_least_chunks_are_the_classes_on_the_last_vertices():
     # At the vertex cut a chunk fixes the r-graph on vertices 2..n-1, and
     # its orbit-least chunks are that r-graph's isomorphism classes: the
     # graphs on 5 and 6 vertices in networkx's atlas (34 and 156), the
-    # triangle-free ones on 6 (38) past the census's prefix test, and 5
-    # classes of 3-graphs on 4 vertices.  At n=8 each atlas graph on 6
-    # vertices is isomorphic to exactly one orbit-least prefix.
+    # triangle-free ones on 5 and 6 (14 and 38, OEIS A006785) among the live
+    # chunks at t=3, and 5 classes of 3-graphs on 4 vertices.  At n=8 each
+    # atlas graph on 6 vertices is isomorphic to exactly one orbit-least
+    # prefix, and each triangle-free one to exactly one live prefix.
     import mislab.search as search
 
     nx = pytest.importorskip("networkx")
     atlas = {m: [g for g in nx.graph_atlas_g() if g.number_of_nodes() == m] for m in (5, 6)}
-    free = [g for g in atlas[6] if not any(nx.triangles(g).values())]
+    free = {m: [g for g in atlas[m] if not any(nx.triangles(g).values())] for m in (5, 6)}
     assert _class_count(4, 3) == 5
     for n, r, want in ((7, 2, len(atlas[5])), (8, 2, len(atlas[6])), (6, 3, _class_count(4, 3))):
         assert len(search._orbit_least(n, r, search._chunk_width(n, r))) == want, (n, r)
+    assert (len(free[5]), len(free[6])) == (14, 38)
+    assert len(search._orbit_least(7, 2, 11, 3)) == 14
+    assert len(search._orbit_least(8, 2, 13, 3)) == 38
     width = search._chunk_width(8, 2)
     slots = list(combinations(range(8), 2))
-    prefixes = []
-    for c in search._orbit_least(8, 2, width):
-        g = nx.empty_graph(range(2, 8))
-        g.add_edges_from(s for b, s in enumerate(slots) if (c << width) >> b & 1)
-        prefixes.append(g)
-    for g in atlas[6]:
-        assert sum(nx.is_isomorphic(g, h) for h in prefixes
-                   if sorted(d for _, d in g.degree) == sorted(d for _, d in h.degree)) == 1
+
+    def prefixes(t):
+        graphs = []
+        for c in search._orbit_least(8, 2, width, t):
+            g = nx.empty_graph(range(2, 8))
+            g.add_edges_from(s for b, s in enumerate(slots) if (c << width) >> b & 1)
+            graphs.append(g)
+        return graphs
+
+    for graphs, listed in ((atlas[6], prefixes(None)), (free[6], prefixes(3))):
+        for g in graphs:
+            assert sum(nx.is_isomorphic(g, h) for h in listed
+                       if sorted(d for _, d in g.degree) == sorted(d for _, d in h.degree)) == 1
     killers, _, _ = search._clique_filter(8, 2, 3, width)
     past = [c for c in search._orbit_least(8, 2, width)
             if not any(c << width & km == km for km in killers)]
-    assert len(past) == len(free)
+    assert past == list(search._orbit_least(8, 2, width, 3))
 
 
 def test_census_scans_one_chunk_per_orbit(monkeypatch):
     # At n=8 the cut at vertex 2 leaves 156 orbit-least chunks of 32,768
     # (the graphs on 6 vertices, OEIS A000088), 38 of them past the prefix
-    # test (the triangle-free ones, A006785): those 38 are the live chunks.
-    # One pass scans each once, in ascending order, collecting the hits at
-    # each chunk's best; one mask, the least copy of the one class, is
-    # canonicalised.
+    # test (the triangle-free ones, A006785): those 38 are the live chunks,
+    # and the only jobs.  One pass scans each once, in ascending order,
+    # collecting the hits at each chunk's best; none is killed, and one
+    # mask, the least copy of the one class, is canonicalised.
     import mislab.search as search
 
     width = search._chunk_width(8, 2)
@@ -823,10 +880,38 @@ def test_census_scans_one_chunk_per_orbit(monkeypatch):
     rep = uniqueness_check(8)
     assert (rep.value, rep.witnesses, rep.truncated) == (4, ["G?]uf?"], False)
     assert rep.graphs_scanned == 1 << 28
-    assert [job[4] >> width for job in jobs] == reps
+    assert [job[4] >> width for job in jobs] == past
     assert all(job[5] - job[4] == 1 << 13 and job[6] for job in jobs)
-    assert [c for c, (value, _) in zip(reps, values) if value >= 0] == past
+    assert all(value >= 0 for value, _ in values)
     assert len(forms) == 1
+
+
+def test_census_deals_its_live_chunks_evenly(monkeypatch):
+    # With 2 processes the census's 38 live chunks fall 19 to the caller
+    # (jobs[0::2]) and 19 to the child (jobs[1::2]), none of them killed.
+    # Every chunk is at the best here, so the child ships the hit of each of
+    # its chunks and the deduplication reads those of both shares.
+    import pickle
+
+    import mislab.search as search
+
+    width = search._chunk_width(8, 2)
+    live = [c << width for c in search._orbit_least(8, 2, width, 3)]
+    killers, _, _ = search._clique_filter(8, 2, 3, width)
+    shipped, kept = [], []
+    load = pickle.load
+    monkeypatch.setattr(pickle, "load", lambda pipe: shipped.append(load(pipe)) or shipped[-1])
+    monkeypatch.setattr(search, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "_scan_chunk", lambda job: (0, [job[4]]))
+    monkeypatch.setattr(search, "_dedup_witnesses",
+                        lambda n, r, cap, results: kept.append(results) or ([], False))
+    exhaustive_m(SearchSpec(8, k=2, t=3, collect_witnesses=True), workers=2)
+    [(best, child)] = shipped
+    assert best == 0 and [lo for lo, _ in child] == live[1::2]
+    assert kept == [[(lo, [lo]) for lo in live]]
+    assert len(live[0::2]) == len(live[1::2]) == 19
+    assert not any(lo & km == km for lo in live for km in killers)
+    assert_no_child()
 
 
 def test_adjacent_swaps_relabel_and_keep_the_least_copy(monkeypatch):
